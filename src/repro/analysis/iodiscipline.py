@@ -10,9 +10,9 @@ window that PR 7's crash-recovery work closed.
 
 The check is function-local: a write call is compliant when its
 enclosing function also renames something into place (``os.replace`` /
-``os.rename`` — the staged-directory pattern in the work queue counts)
-or delegates to one of the atomic helpers.  Read-only opens and
-explicit temp-staging writes therefore pass without annotation.
+``os.rename``) or delegates to one of the atomic helpers.  Read-only
+opens and explicit temp-staging writes therefore pass without
+annotation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.analysis.engine import (
 
 __all__ = ["AtomicWriteRule"]
 
-#: Modules that own persistent state (caches, manifests, queue, stamps).
+#: Modules that own persistent state (caches, manifests, stamps).
 DEFAULT_PERSISTENCE_MODULES = (
     "repro.runtime.cache",
     "repro.runtime.shard",

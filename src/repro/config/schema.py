@@ -31,10 +31,6 @@ A config describes one design sweep::
         "seed": null,
         "point_shard_index": 0,
         "point_shard_count": 1,
-        "schedule": "fingerprint" | "balanced",
-        "queue_dir": null,              // pull-based lease mode when set
-        "queue_batch": 4,
-        "queue_lease_s": 30.0,
         "retry": { "max_attempts": 3, "backoff_s": 0.05,
                    "deadline_s": null },          // optional
         "chaos": { "seed": 0, "worker_kill": 0.1 }  // optional, testing only
@@ -49,7 +45,8 @@ an optional trace-cache override, whether a failing design point aborts
 the sweep or is skipped with telemetry, a seed override for stochastic
 components, and intra-study point sharding (run only the deterministic
 1/``point_shard_count`` slice of every sweep's fingerprinted point
-space).
+space).  Any other ``runtime`` key is rejected with a
+:class:`~repro.errors.ConfigError` naming it.
 
 A second config shape describes one *registered study* instead of a raw
 sweep (the ``config/studies/*.json`` stubs)::
@@ -341,10 +338,22 @@ def _validate_point_shard(index: int, count: int, context: str) -> None:
         )
 
 
+#: Keys a ``runtime`` section may carry; anything else is rejected.
+_RUNTIME_KEYS = frozenset({
+    "workers", "cache_dir", "trace_cache_dir", "on_error", "seed",
+    "point_shard_index", "point_shard_count", "retry", "chaos",
+})
+
+
 def _parse_runtime(section: Any) -> RuntimeOptions:
     """Validate a ``runtime`` section into :class:`RuntimeOptions`."""
     if not isinstance(section, Mapping):
         raise ConfigError("runtime section must be an object")
+    unknown = sorted(set(section) - _RUNTIME_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown runtime key(s) {unknown}; known keys: {sorted(_RUNTIME_KEYS)}"
+        )
     workers = int(section.get("workers", 1))
     if workers < 1:
         raise ConfigError("runtime.workers must be >= 1")
@@ -365,16 +374,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     chaos = None
     if chaos_section is not None:
         chaos = ChaosOptions.from_mapping(chaos_section)
-    schedule = section.get("schedule", "fingerprint")
-    if schedule not in ("fingerprint", "balanced"):
-        raise ConfigError("runtime.schedule must be 'fingerprint' or 'balanced'")
-    queue_dir = section.get("queue_dir")
-    queue_batch = int(section.get("queue_batch", 4))
-    if queue_batch < 1:
-        raise ConfigError("runtime.queue_batch must be >= 1")
-    queue_lease_s = float(section.get("queue_lease_s", 30.0))
-    if queue_lease_s <= 0:
-        raise ConfigError("runtime.queue_lease_s must be > 0")
     return RuntimeOptions(
         workers=workers,
         cache_dir=None if cache_dir is None else str(cache_dir),
@@ -385,10 +384,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
         point_shard_count=point_shard_count,
         retry=retry,
         chaos=chaos,
-        schedule=schedule,
-        queue_dir=None if queue_dir is None else str(queue_dir),
-        queue_batch=queue_batch,
-        queue_lease_s=queue_lease_s,
     )
 
 

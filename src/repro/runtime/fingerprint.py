@@ -77,12 +77,8 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
         "repro.runtime.fingerprint",
         ("repro.core.metrics", "repro.runtime.fingerprint"),
     ),
-    # costs/ store and queue batch/claims payloads.
+    # Cost-ledger entries.
     "COST_SCHEMA_TAG": (
-        "repro.runtime.schedule",
-        ("repro.runtime.schedule",),
-    ),
-    "QUEUE_SCHEMA": (
         "repro.runtime.schedule",
         ("repro.runtime.schedule",),
     ),

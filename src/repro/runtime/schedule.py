@@ -1,60 +1,30 @@
-"""Cost-model-driven elastic scheduling of sweep points.
+"""Per-point cost observations and a fitted cost model.
 
-PR 5's :class:`~repro.runtime.shard.PointShard` partitions a sweep's
-point space by *count*: fingerprints hash round-robin onto shards, so
-one expensive organization can pin a shard while its siblings idle.
-This module closes that gap with three cooperating pieces:
-
-* :class:`CostLedger` — a persistent store (``<cache_dir>/costs/``) of
-  observed per-point wall-clock.  The executor records an observation
-  for every point computed *fresh* (cache hits carry ``duration_s = 0``
-  and are never recorded, so warm runs cannot poison the ledger with
-  zeros); repeated observations fold into a running mean.
+* :class:`CostLedger` — a persistent store of observed per-point
+  wall-clock, keyed by the result caches' content fingerprints.  Only
+  fresh work is recorded (cache hits carry ``duration_s = 0`` and are
+  never folded in); repeated observations fold into a running mean.
 * :class:`CostModel` — a cheap, deterministic regression over array
   geometry (log2 capacity, node, access width, bits/cell, volatility)
   fitted from the ledger in log-duration space.  With too few
   observations it degrades to a static geometry heuristic; with none at
-  all it is *empty* and balanced planning degrades exactly to the
-  round-robin fingerprint partition.
-* :func:`plan_balanced` — LPT (longest-processing-time-first) greedy
-  bin-packing of the point space over predicted costs, yielding a
-  :class:`BalancedPointShard` whose membership depends only on the
-  *set* of fingerprints and their costs — deterministic under point
-  reordering, an exact cover of the space across shards.
+  all it is *empty*.
 
-Orthogonally, :class:`WorkQueue` implements the late-binding "pilot
-job" pattern: instead of a static partition, workers *lease* point
-batches from a shared queue directory.  Leases are atomic renames
-(``pending/`` -> ``leased/``), kept alive by an mtime heartbeat, and
-reclaimed by any worker once expired — so a killed consumer's batch is
-re-run by a survivor, and a restarted consumer resumes the batches it
-already completed from its durable per-worker claims file.  Whatever
-the cost model mispredicts, the queue absorbs.
-
-Merge verification is unchanged either way: manifests still record the
-planned/selected point sets, and :func:`~repro.runtime.shard.\
-merge_manifests` still proves every planned point landed on exactly one
-run (or was quarantined as poisoned).  The exactly-once check is the
-correctness backstop for both the planner and the queue — a lease
-expiry shorter than a worker's worst heartbeat gap shows up as a
-duplicated point at merge time, never as silent corruption.
+Nothing in ``repro`` constructs a ledger: study-level and round-robin
+point sharding need no cost estimates, and per-point payloads are too
+short for cost-aware scheduling to pay for itself.  The classes stay
+importable because ``suitebench/spans.py`` traces their methods by name.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -63,26 +33,15 @@ from typing import (
     Union,
 )
 
-from repro.errors import ReproError
-from repro.runtime.cache import JsonObjectCache, _tmp_path_for
-from repro.runtime.shard import PointShard, assign_fingerprint, point_set_digest
+from repro.runtime.cache import JsonObjectCache
 
 if TYPE_CHECKING:
     from repro.runtime.chaos import ChaosOptions
 
 __all__ = [
     "COST_SCHEMA_TAG",
-    "QUEUE_SCHEMA",
-    "BalancedPointShard",
     "CostLedger",
     "CostModel",
-    "LeaseBatch",
-    "QueueLeaseLost",
-    "WorkQueue",
-    "cost_ledger_for",
-    "evaluation_features",
-    "plan_balanced",
-    "point_features",
 ]
 
 #: Schema tag of the persisted cost-ledger entries.  Bumping it orphans
@@ -90,51 +49,18 @@ __all__ = [
 #: any result cache — costs are advisory, never part of result identity.
 COST_SCHEMA_TAG = "cost-ledger-v1"
 
-#: Schema tag of work-queue batch/claims payloads.
-QUEUE_SCHEMA = "work-queue-v1"
-
-#: Predictions are clamped into this range: a cost of exactly zero would
-#: make LPT placement degenerate, and a wild extrapolation must not let
-#: one mispredicted point dominate the plan.
+#: Predictions are clamped into this range: a cost is always positive,
+#: and a wild extrapolation must not let one mispredicted point dominate.
 _MIN_COST_S = 1e-6
 _MAX_COST_S = 1e6
-
-
-# --- feature extraction -----------------------------------------------------
-
-
-def point_features(point) -> Dict[str, float]:
-    """Geometry features of one characterization request.
-
-    Duck-typed over :class:`~repro.runtime.executor.SweepPoint` (this
-    module must not import the executor, which imports it back).
-    """
-    return {
-        "log2_capacity": math.log2(max(1, int(point.capacity_bytes))),
-        "node_nm": float(point.node_nm),
-        "access_bits": float(point.access_bits),
-        "bits_per_cell": float(point.bits_per_cell),
-        "nonvolatile": 1.0 if point.cell.tech_class.is_nonvolatile else 0.0,
-    }
-
-
-def evaluation_features(array, traffic_length: int) -> Dict[str, float]:
-    """Features of one (array x traffic-block) evaluation request."""
-    return {
-        "log2_capacity": math.log2(max(1, int(array.capacity_bytes))),
-        "node_nm": float(array.node_nm),
-        "bits_per_cell": float(array.bits_per_cell),
-        "nonvolatile": 1.0 if array.cell.tech_class.is_nonvolatile else 0.0,
-        "traffic_length": float(traffic_length),
-    }
 
 
 def _heuristic_cost(features: Mapping[str, float]) -> float:
     """Static fallback when the ledger holds too few observations.
 
-    Any positive function monotone in the work drivers suffices for LPT
-    — bigger arrays and denser cells dominate characterization time, and
-    longer traffic blocks dominate evaluation time.
+    Any positive function monotone in the work drivers ranks requests
+    correctly — bigger arrays and denser cells dominate characterization
+    time, and longer traffic blocks dominate evaluation time.
     """
     cost = 1.0 + features.get("log2_capacity", 0.0)
     cost *= 1.0 + 0.5 * max(0.0, features.get("bits_per_cell", 1.0) - 1.0)
@@ -152,11 +78,10 @@ class CostModel:
     ``source`` records how the model was obtained: ``"regression"`` (a
     ridge least-squares fit in log-duration space), ``"heuristic"``
     (too few observations — predictions fall back to the static
-    geometry heuristic), or ``"empty"`` (no observations at all; the
-    planner degrades to the round-robin fingerprint partition).  The
+    geometry heuristic), or ``"empty"`` (no observations at all).  The
     fit is a closed-form solve over deterministically ordered
-    observations — no RNG anywhere — so every host plans the same
-    shards from the same ledger; ``seed`` is recorded for provenance.
+    observations — no RNG anywhere — so every host fits the same model
+    from the same ledger; ``seed`` is recorded for provenance.
     """
 
     feature_names: Tuple[str, ...] = ()
@@ -229,7 +154,7 @@ class CostModel:
 
 
 class CostLedger(JsonObjectCache):
-    """Persistent per-point cost observations under ``<cache_dir>/costs/``.
+    """Persistent per-point cost observations under one root directory.
 
     Entries are keyed by the same content fingerprints as the result
     caches (point fingerprints for the characterize phase, evaluation
@@ -242,8 +167,7 @@ class CostLedger(JsonObjectCache):
     leaves the ledger untouched, keeping hit/miss accounting and cost
     accounting distinct.  Entries ride the shared
     :class:`~repro.runtime.cache.JsonObjectCache` machinery (atomic
-    writes, checksums, quarantine), so ``nvmexplorer fsck`` audits the
-    costs store exactly like the result stores.
+    writes, checksums, quarantine).
     """
 
     def __init__(
@@ -284,7 +208,7 @@ class CostLedger(JsonObjectCache):
 
         Returns ``False`` (recording nothing) for non-positive durations:
         a ``duration_s`` of zero means the point was served from cache,
-        and zeros averaged into the ledger would teach the planner that
+        and zeros averaged into the ledger would teach the model that
         warm points are free — exactly the bias this guard exists for.
         """
         if duration_s <= 0.0:
@@ -346,445 +270,3 @@ class CostLedger(JsonObjectCache):
         if phase not in self._models:
             self._models[phase] = CostModel.fit(self.observations(phase=phase))
         return self._models[phase]
-
-
-def cost_ledger_for(runtime) -> Optional[CostLedger]:
-    """The cost ledger for one ``RuntimeOptions``, or ``None``.
-
-    Lives under ``<cache_dir>/costs`` next to the result stores; absent
-    runtimes and cache-less runs keep no ledger.
-    """
-    if runtime is None or runtime.cache_dir is None:
-        return None
-    from repro.runtime.options import COST_CACHE_SUBDIR
-
-    return CostLedger(Path(runtime.cache_dir) / COST_CACHE_SUBDIR)
-
-
-# --- cost-balanced planning -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BalancedPointShard(PointShard):
-    """A point shard selecting an explicit member set.
-
-    Produced by :func:`plan_balanced`: ``index``/``count`` keep their
-    identity meaning (which slot of the partition this is), while
-    selection is by membership instead of fingerprint hashing.  To the
-    rest of the system this is an opaque point-set selector — the
-    manifest section, :func:`~repro.runtime.shard.study_fingerprint`,
-    and merge verification all treat it through ``selects`` and
-    ``to_dict`` exactly like the round-robin shard.
-    """
-
-    members: frozenset = frozenset()
-
-    def selects(self, fingerprint: str) -> bool:
-        return fingerprint in self.members
-
-    def partition(self, items: Iterable[Any], key=lambda item: item) -> list:
-        return [item for item in items if key(item) in self.members]
-
-    def to_dict(self) -> Dict[str, Any]:
-        # The membership digest (not the member list) keys the study
-        # fingerprint: two runs with the same planned slice share
-        # incremental identity regardless of how the plan was derived.
-        return {
-            "index": self.index,
-            "count": self.count,
-            "scheme": "balanced",
-            "members_digest": point_set_digest(self.members),
-        }
-
-    @classmethod
-    def from_selected(cls, index: int, count: int, selected: Iterable[str]) -> "BalancedPointShard":
-        """Rebuild the selector a run used from its manifest section."""
-        return cls(index, count, members=frozenset(str(fp) for fp in selected))
-
-
-def plan_balanced(
-    index: int,
-    count: int,
-    fingerprints: Iterable[str],
-    costs: Optional[Mapping[str, float]] = None,
-) -> BalancedPointShard:
-    """Plan shard ``index`` of a cost-balanced ``count``-way partition.
-
-    LPT greedy bin-packing: points are placed heaviest-first onto the
-    currently lightest shard (ties broken by fingerprint, then shard
-    index), a classic 4/3-approximation of the optimal makespan.  The
-    plan depends only on the fingerprint *set* and the cost mapping —
-    deterministic under reordering, and every fingerprint lands on
-    exactly one shard (exact cover).  With ``costs=None`` (an empty
-    ledger) the membership degrades to exactly the round-robin
-    :func:`~repro.runtime.shard.assign_fingerprint` partition, so a
-    cold fleet plans identically to PR 5.
-    """
-    unique = sorted(set(fingerprints))
-    if costs is None:
-        members = frozenset(fp for fp in unique if assign_fingerprint(fp, count) == index)
-        return BalancedPointShard(index, count, members=members)
-    ordered = sorted(unique, key=lambda fp: (-max(0.0, float(costs.get(fp, 0.0))), fp))
-    loads = [0.0] * count
-    bins: List[List[str]] = [[] for _ in range(count)]
-    for fp in ordered:
-        lightest = min(range(count), key=lambda i: (loads[i], i))
-        bins[lightest].append(fp)
-        loads[lightest] += max(_MIN_COST_S, float(costs.get(fp, 0.0)))
-    return BalancedPointShard(index, count, members=frozenset(bins[index]))
-
-
-# --- the pull-based work queue ----------------------------------------------
-
-
-class QueueLeaseLost(ReproError):
-    """A worker's lease expired (and was reclaimed) while it was working.
-
-    The worker's results are cached and correct, but its point-level
-    accounting can no longer be trusted as exclusive — another worker
-    may have re-run the batch.  Raise loudly instead of risking a
-    duplicated point at merge time; the fix is a longer
-    ``lease_expiry_s`` (it must exceed the worst heartbeat gap).
-    """
-
-
-@dataclass(frozen=True)
-class LeaseBatch:
-    """One leased batch of point fingerprints (held via ``path``)."""
-
-    topic: str
-    index: int
-    fingerprints: Tuple[str, ...]
-    path: Path
-
-
-class WorkQueue:
-    """A shared filesystem work queue of point batches.
-
-    Layout, per *topic* (one topic = one sweep's planned point set,
-    keyed by its content digest so concurrent consumers meet on the
-    same queue with no coordination)::
-
-        <queue_dir>/<topic>/
-            topic.json            metadata (planned count, batch size)
-            pending/batch-*.json  batches nobody holds
-            leased/batch-*.json   held batches; mtime is the heartbeat
-            claims/worker-*.json  batches each worker has completed
-
-    Every transition is a single atomic rename: publish stages batches
-    into a temp directory and renames it to ``pending/`` (losers of the
-    race see the directory exists and publish nothing); a lease renames
-    ``pending/x`` to ``leased/x`` (exactly one winner); reclaim renames
-    an expired ``leased/x`` back.  Completion *claims* the batch in the
-    worker's own claims file before unlinking the lease, so a batch
-    absent from ``pending/`` and ``leased/`` is always claimed by
-    someone, and a consumer restarted after a crash resumes (and
-    re-accounts) the batches it already completed.
-
-    A lease whose file vanished (expired and reclaimed mid-flight)
-    surfaces as :class:`QueueLeaseLost` on completion; the manifest
-    merge's exactly-once verification backstops any race this check is
-    too late for.
-    """
-
-    def __init__(
-        self,
-        queue_dir: Union[str, Path],
-        worker_id: str = "0",
-        batch_size: int = 4,
-        lease_expiry_s: float = 30.0,
-        heartbeat_s: Optional[float] = None,
-        poll_s: Optional[float] = None,
-    ) -> None:
-        if int(batch_size) < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        if float(lease_expiry_s) <= 0:
-            raise ValueError(f"lease_expiry_s must be > 0, got {lease_expiry_s!r}")
-        self.root = Path(queue_dir)
-        self.worker_id = str(worker_id)
-        self.batch_size = int(batch_size)
-        self.lease_expiry_s = float(lease_expiry_s)
-        # Several beats fit in one expiry window, so a single delayed
-        # touch cannot get a live worker's lease reclaimed.
-        self.heartbeat_s = (
-            float(heartbeat_s) if heartbeat_s is not None else max(0.05, self.lease_expiry_s / 5.0)
-        )
-        self.poll_s = float(poll_s) if poll_s is not None else max(0.05, self.lease_expiry_s / 10.0)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    # --- layout helpers ---------------------------------------------------
-
-    @staticmethod
-    def topic_for(fingerprints: Iterable[str]) -> str:
-        """The topic key of one planned point set (content-derived)."""
-        return point_set_digest(fingerprints)[:32]
-
-    def _topic_dir(self, topic: str) -> Path:
-        return self.root / topic
-
-    def _pending_dir(self, topic: str) -> Path:
-        return self._topic_dir(topic) / "pending"
-
-    def _leased_dir(self, topic: str) -> Path:
-        return self._topic_dir(topic) / "leased"
-
-    def _claims_dir(self, topic: str) -> Path:
-        return self._topic_dir(topic) / "claims"
-
-    def _claims_path(self, topic: str) -> Path:
-        return self._claims_dir(topic) / f"worker-{self.worker_id}.json"
-
-    @staticmethod
-    def _batch_name(index: int) -> str:
-        return f"batch-{index:06d}.json"
-
-    def _write_json(self, path: Path, payload: Mapping[str, Any]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = _tmp_path_for(path)
-        try:
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    @staticmethod
-    def _read_json(path: Path) -> Optional[Mapping[str, Any]]:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return payload if isinstance(payload, Mapping) else None
-
-    # --- publish ----------------------------------------------------------
-
-    def publish(self, fingerprints: Sequence[str]) -> str:
-        """Idempotently publish one planned point set; returns its topic.
-
-        Batches are cut from the caller's (deterministic sweep) order,
-        so every concurrent publisher stages identical batch files; the
-        single ``rename(stage, pending)`` decides who actually installs
-        them, making publication atomic — a consumer can never observe a
-        half-published pending directory.
-        """
-        ordered = list(dict.fromkeys(fingerprints))
-        topic = self.topic_for(ordered)
-        tdir = self._topic_dir(topic)
-        pending = self._pending_dir(topic)
-        tdir.mkdir(parents=True, exist_ok=True)
-        if not pending.exists() and not (tdir / "topic.json").exists():
-            stage = tdir / f"stage.{os.getpid()}.{threading.get_ident()}.{time.monotonic_ns()}"
-            stage.mkdir()
-            batches = [
-                ordered[start : start + self.batch_size]
-                for start in range(0, len(ordered), self.batch_size)
-            ]
-            for index, fps in enumerate(batches):
-                (stage / self._batch_name(index)).write_text(
-                    json.dumps(
-                        {
-                            "schema": QUEUE_SCHEMA,
-                            "topic": topic,
-                            "index": index,
-                            "fingerprints": list(fps),
-                        },
-                        indent=2,
-                        sort_keys=True,
-                    )
-                )
-            try:
-                os.rename(stage, pending)
-            except OSError:
-                # Lost the publish race; the winner's batches are
-                # identical by construction.
-                for leftover in sorted(stage.iterdir()):
-                    leftover.unlink(missing_ok=True)
-                stage.rmdir()
-            self._write_json(
-                tdir / "topic.json",
-                {
-                    "schema": QUEUE_SCHEMA,
-                    "topic": topic,
-                    "planned": len(ordered),
-                    "planned_digest": point_set_digest(ordered),
-                    "batch_size": self.batch_size,
-                    "batches": len(batches) if ordered else 0,
-                },
-            )
-        self._leased_dir(topic).mkdir(exist_ok=True)
-        self._claims_dir(topic).mkdir(exist_ok=True)
-        return topic
-
-    # --- claims -----------------------------------------------------------
-
-    def _claimed_batches(self, topic: str) -> Dict[int, str]:
-        """Batch index -> claiming worker, across every claims file."""
-        claimed: Dict[int, str] = {}
-        cdir = self._claims_dir(topic)
-        if not cdir.is_dir():
-            return claimed
-        for path in sorted(cdir.glob("worker-*.json")):
-            payload = self._read_json(path)
-            if payload is None:
-                continue
-            worker = str(payload.get("worker", path.stem))
-            for key in payload.get("batches", {}):
-                try:
-                    claimed[int(key)] = worker
-                except (TypeError, ValueError):
-                    continue
-        return claimed
-
-    def claimed_points(self, topic: str) -> List[str]:
-        """Fingerprints this worker completed in prior runs (for resume)."""
-        payload = self._read_json(self._claims_path(topic))
-        if payload is None:
-            return []
-        out: List[str] = []
-        for _, fps in sorted(payload.get("batches", {}).items(), key=lambda item: int(item[0])):
-            out.extend(str(fp) for fp in fps)
-        return out
-
-    # --- lease / heartbeat / complete -------------------------------------
-
-    def lease(self, topic: str) -> Optional[LeaseBatch]:
-        """Acquire one batch, reclaiming expired leases along the way.
-
-        Returns ``None`` when nothing is leasable right now — either the
-        topic is drained, or every remaining batch is held by a live
-        (heartbeating) worker; poll :meth:`outstanding` to tell apart.
-        """
-        pending = self._pending_dir(topic)
-        leased = self._leased_dir(topic)
-        claimed = self._claimed_batches(topic)
-        for attempt in range(2):
-            if pending.is_dir():
-                for path in sorted(pending.glob("batch-*.json")):
-                    payload = self._read_json(path)
-                    if payload is None:
-                        continue
-                    if int(payload.get("index", -1)) in claimed:
-                        # Completed by someone whose lease was reclaimed
-                        # after the claim landed: already done, drop it.
-                        path.unlink(missing_ok=True)
-                        continue
-                    dest = leased / path.name
-                    try:
-                        os.rename(path, dest)
-                    except OSError:
-                        continue  # another worker won this batch
-                    os.utime(dest)
-                    return LeaseBatch(
-                        topic=topic,
-                        index=int(payload["index"]),
-                        fingerprints=tuple(str(fp) for fp in payload.get("fingerprints", ())),
-                        path=dest,
-                    )
-            if attempt == 1 or not self._reclaim(topic, claimed):
-                return None
-        return None
-
-    def _reclaim(self, topic: str, claimed: Mapping[int, str]) -> int:
-        """Move expired leases back to pending; returns how many moved."""
-        leased = self._leased_dir(topic)
-        pending = self._pending_dir(topic)
-        if not leased.is_dir():
-            return 0
-        moved = 0
-        now = time.time()
-        for path in sorted(leased.glob("batch-*.json")):
-            payload = self._read_json(path)
-            if payload is not None and int(payload.get("index", -1)) in claimed:
-                # Crash window between claim write and lease unlink: the
-                # work is durably claimed, so the stale lease is garbage.
-                path.unlink(missing_ok=True)
-                continue
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue
-            if age < self.lease_expiry_s:
-                continue
-            pending.mkdir(exist_ok=True)
-            try:
-                os.rename(path, pending / path.name)
-            except OSError:
-                continue
-            moved += 1
-        return moved
-
-    @contextmanager
-    def heartbeating(self, batch: LeaseBatch):
-        """Keep ``batch``'s lease alive while the body runs."""
-        stop = threading.Event()
-
-        def _beat() -> None:
-            while not stop.wait(self.heartbeat_s):
-                try:
-                    os.utime(batch.path)
-                except OSError:
-                    return  # lease vanished; complete() reports it
-
-        thread = threading.Thread(target=_beat, daemon=True)
-        thread.start()
-        try:
-            yield batch
-        finally:
-            stop.set()
-            thread.join()
-
-    def complete(self, batch: LeaseBatch) -> None:
-        """Durably claim a finished batch, then release its lease file.
-
-        The claim is written *first*: once it lands, every worker treats
-        the batch as done even if this process dies before the unlink.
-        Raises :class:`QueueLeaseLost` when the lease file is already
-        gone — the batch expired and was reclaimed while we worked.
-        """
-        if not batch.path.exists():
-            raise QueueLeaseLost(
-                f"lease on batch {batch.index} of topic {batch.topic} expired "
-                f"after {self.lease_expiry_s}s and was reclaimed; raise "
-                "lease_expiry_s above the slowest batch's wall-clock"
-            )
-        path = self._claims_path(batch.topic)
-        payload = self._read_json(path) or {}
-        batches = dict(payload.get("batches", {}))
-        batches[str(batch.index)] = list(batch.fingerprints)
-        self._write_json(
-            path,
-            {
-                "schema": QUEUE_SCHEMA,
-                "topic": batch.topic,
-                "worker": self.worker_id,
-                "batches": batches,
-            },
-        )
-        batch.path.unlink(missing_ok=True)
-
-    def release(self, batch: LeaseBatch) -> None:
-        """Return an unfinished batch to ``pending/`` (error paths)."""
-        try:
-            os.rename(batch.path, self._pending_dir(batch.topic) / batch.path.name)
-        except OSError:
-            pass  # already reclaimed or completed elsewhere
-
-    def outstanding(self, topic: str) -> int:
-        """Batches not yet claimed: pending plus currently leased."""
-        count = 0
-        for directory in (self._pending_dir(topic), self._leased_dir(topic)):
-            if directory.is_dir():
-                count += len(list(directory.glob("batch-*.json")))
-        return count
-
-    def drained(self, topic: str) -> bool:
-        return self.outstanding(topic) == 0
-
-    def stats(self, topic: str) -> Dict[str, int]:
-        pending = self._pending_dir(topic)
-        leased = self._leased_dir(topic)
-        return {
-            "pending": len(list(pending.glob("batch-*.json"))) if pending.is_dir() else 0,
-            "leased": len(list(leased.glob("batch-*.json"))) if leased.is_dir() else 0,
-            "claimed": len(self._claimed_batches(topic)),
-        }

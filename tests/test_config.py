@@ -202,6 +202,23 @@ class TestRuntimeSectionExtensions:
         )).runtime_options()
         assert str(options.effective_trace_cache_dir) == str(Path("root") / "traces")
 
+    @pytest.mark.parametrize("key", ["worker", "schedule"])
+    def test_unknown_runtime_key_rejected_by_name(self, key):
+        # A typo or a removed option must fail loudly, not run a
+        # different plan than the config asks for.
+        for raw in (
+            minimal_config(runtime={"workers": 1, key: 1}),
+            study_config(runtime={"workers": 1, key: 1}),
+            {"suite": {}, "runtime": {key: 1}},
+        ):
+            with pytest.raises(ConfigError, match=repr(key)):
+                if is_suite_config(raw):
+                    parse_suite_config(raw)
+                elif is_study_config(raw):
+                    parse_study_config(raw)
+                else:
+                    parse_config(raw)
+
 
 class TestStudyConfig:
     def test_parse_study_config(self):

@@ -83,6 +83,15 @@ def _kill_once(item):
     return value
 
 
+def _mark_and_sleep(item):
+    """Leave a marker file showing this task ran, then take a while."""
+    marker_dir, value = item
+    with open(os.path.join(marker_dir, f"ran-{value}"), "w"):
+        pass
+    time.sleep(0.2)
+    return value
+
+
 def _stall_once(item):
     """Hang far past any deadline the first time the sleepy item runs."""
     sentinel, value = item
@@ -281,22 +290,58 @@ class TestRunResilientSerial:
             run_resilient([("a", 1), ("a", 2)], _double, workers=1)
 
     def test_on_outcome_exception_aborts(self):
+        ran = []
+
+        def record(item):
+            ran.append(item)
+            return item
+
         def abort(outcome):
             raise RuntimeError("stop the sweep")
 
         with pytest.raises(RuntimeError, match="stop the sweep"):
             run_resilient(
-                [("a", 1), ("b", 2)], _double, workers=1, on_outcome=abort
+                [("a", 1), ("b", 2)], record, workers=1, on_outcome=abort
             )
+        assert ran == [1]
+
+    def test_outcomes_arrive_in_task_order(self):
+        seen = []
+        run_resilient(
+            [(f"k{i}", i) for i in range(5)], _double, workers=1,
+            on_outcome=lambda outcome: seen.append(outcome.key),
+        )
+        assert seen == [f"k{i}" for i in range(5)]
 
 
 class TestRunResilientPool:
     def test_all_ok_across_workers(self):
         tasks = [(f"k{i}", i) for i in range(12)]
-        outcomes = run_resilient(tasks, _double, workers=3, policy=FAST)
-        assert {k: o.value for k, o in outcomes.items()} == {
-            f"k{i}": i * 2 for i in range(12)
-        }
+        # Multi-task chunks complete in any order; every outcome must
+        # still land on its own task's key.
+        for chunksize in (None, 5):
+            outcomes = run_resilient(
+                tasks, _double, workers=3, policy=FAST, chunksize=chunksize
+            )
+            assert {k: o.value for k, o in outcomes.items()} == {
+                f"k{i}": i * 2 for i in range(12)
+            }
+
+    def test_on_outcome_exception_cancels_outstanding_work(self, tmp_path):
+        tasks = [(f"k{i}", (str(tmp_path), i)) for i in range(20)]
+
+        def abort(outcome):
+            raise RuntimeError("stop the sweep")
+
+        with pytest.raises(RuntimeError, match="stop the sweep"):
+            run_resilient(
+                tasks, _mark_and_sleep, workers=2, chunksize=1, policy=FAST,
+                on_outcome=abort,
+            )
+        # Calls already handed to a worker may still finish; everything
+        # queued behind them must have been cancelled.
+        time.sleep(1.0)
+        assert len(list(tmp_path.glob("ran-*"))) < len(tasks) // 2
 
     def test_worker_crash_rebuilds_pool_and_recovers(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")

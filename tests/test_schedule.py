@@ -1,59 +1,14 @@
-"""Elastic scheduling: cost ledger + model, balanced planning, work queue."""
+"""The cost ledger and its fitted cost model."""
 
 import math
-import time
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.nvsim.result import OptimizationTarget
-from repro.runtime import (
-    BalancedPointShard,
-    CharacterizationCache,
-    CostLedger,
-    CostModel,
-    PointShard,
-    QueueLeaseLost,
-    RuntimeOptions,
-    SweepPoint,
-    SweepTelemetry,
-    WorkQueue,
-    characterize_points,
-    cost_ledger_for,
-    plan_balanced,
-)
-from repro.runtime.fsck import fsck_cache_dir
-from repro.runtime.shard import assign_fingerprint
-from repro.units import mb
+from repro.runtime.schedule import CostLedger, CostModel
 
 FEATURES = {"log2_capacity": 20.0, "node_nm": 22.0}
-
-fingerprints_strategy = st.sets(
-    st.text(alphabet="0123456789abcdef", min_size=16, max_size=16),
-    min_size=0,
-    max_size=40,
-)
 
 
 def fp_of(i: int) -> str:
     return f"{i:016x}"
-
-
-def cost_of(fp: str) -> float:
-    """A deterministic, positive pseudo-cost derived from the fingerprint."""
-    return (int(fp[:8], 16) % 997) / 10.0 + 0.1
-
-
-def make_point(cell, capacity=mb(1), target=OptimizationTarget.READ_EDP):
-    return SweepPoint(
-        cell=cell,
-        capacity_bytes=capacity,
-        node_nm=22,
-        target=target,
-        access_bits=64,
-        bits_per_cell=1,
-    )
 
 
 class TestCostLedger:
@@ -79,7 +34,7 @@ class TestCostLedger:
 
     def test_cache_hit_durations_are_never_recorded(self, tmp_path):
         # Cache hits report duration_s == 0; folding those zeros in would
-        # teach the planner that warm points are free.
+        # teach the model that warm points are free.
         ledger = CostLedger(tmp_path / "costs")
         assert not ledger.observe(fp_of(1), FEATURES, 0.0)
         assert not ledger.observe(fp_of(2), FEATURES, -1.0)
@@ -115,13 +70,6 @@ class TestCostLedger:
         ledger = CostLedger(tmp_path / "costs")
         assert ledger.costs_for("characterize", {fp_of(1): FEATURES}) is None
 
-    def test_cost_ledger_for_runtime_options(self, tmp_path):
-        ledger = cost_ledger_for(RuntimeOptions(cache_dir=tmp_path))
-        assert isinstance(ledger, CostLedger)
-        assert ledger.root == tmp_path / "costs"
-        assert cost_ledger_for(RuntimeOptions(cache_dir=None)) is None
-        assert cost_ledger_for(None) is None
-
 
 class TestCostModel:
     def test_no_observations_fits_an_empty_model(self):
@@ -151,305 +99,3 @@ class TestCostModel:
         model = CostModel.fit(observations)
         assert model.predict({"a": 1e9}) <= 1e6
         assert model.predict({"a": -1e9}) >= 1e-6
-
-
-class TestPlanBalanced:
-    @settings(max_examples=50, deadline=None)
-    @given(fps=fingerprints_strategy, count=st.integers(min_value=1, max_value=5))
-    def test_exact_cover_of_the_point_space(self, fps, count):
-        costs = {fp: cost_of(fp) for fp in fps}
-        shards = [plan_balanced(i, count, fps, costs=costs) for i in range(count)]
-        union = set()
-        for shard in shards:
-            assert union.isdisjoint(shard.members)
-            union |= shard.members
-        assert union == fps
-
-    @settings(max_examples=50, deadline=None)
-    @given(fps=fingerprints_strategy, count=st.integers(min_value=1, max_value=5))
-    def test_deterministic_under_point_reordering(self, fps, count):
-        costs = {fp: cost_of(fp) for fp in fps}
-        ordered = sorted(fps)
-        shuffled = sorted(fps, key=lambda fp: fp[::-1])
-        for index in range(count):
-            a = plan_balanced(index, count, ordered, costs=costs)
-            b = plan_balanced(index, count, shuffled, costs=costs)
-            assert a.members == b.members
-
-    @settings(max_examples=50, deadline=None)
-    @given(fps=fingerprints_strategy, count=st.integers(min_value=1, max_value=5))
-    def test_no_costs_degrades_to_the_round_robin_partition(self, fps, count):
-        for index in range(count):
-            shard = plan_balanced(index, count, fps, costs=None)
-            expected = {fp for fp in fps if assign_fingerprint(fp, count) == index}
-            assert shard.members == expected
-
-    def test_lpt_isolates_a_dominant_point(self):
-        fps = [fp_of(i) for i in range(12)]
-        costs = {fp: 1.0 for fp in fps}
-        costs[fp_of(0)] = 90.0
-        shards = [plan_balanced(i, 3, fps, costs=costs) for i in range(3)]
-        loads = [sum(costs[fp] for fp in shard.members) for shard in shards]
-        # The dominant point gets a shard to itself; the eleven cheap
-        # points split across the other two.  Round-robin hashing can
-        # only ever do worse (>= 90 plus whatever lands alongside).
-        assert max(loads) == 90.0
-        rr_loads = [0.0, 0.0, 0.0]
-        for fp in fps:
-            rr_loads[assign_fingerprint(fp, 3)] += costs[fp]
-        assert max(loads) <= max(rr_loads)
-
-
-class TestBalancedPointShard:
-    def test_selects_and_partitions_by_membership(self):
-        shard = BalancedPointShard(0, 2, members=frozenset({fp_of(1), fp_of(2)}))
-        assert shard.selects(fp_of(1))
-        assert not shard.selects(fp_of(3))
-        assert shard.partition([fp_of(3), fp_of(2)]) == [fp_of(2)]
-
-    def test_to_dict_carries_the_scheme_and_membership_digest(self):
-        a = BalancedPointShard(0, 2, members=frozenset({fp_of(1), fp_of(2)}))
-        b = BalancedPointShard(0, 2, members=frozenset({fp_of(1), fp_of(3)}))
-        payload = a.to_dict()
-        assert payload["scheme"] == "balanced"
-        assert payload["index"] == 0 and payload["count"] == 2
-        assert payload["members_digest"] != b.to_dict()["members_digest"]
-
-    def test_from_selected_rebuilds_the_run_selector(self):
-        selected = [fp_of(2), fp_of(1), fp_of(2)]
-        shard = BalancedPointShard.from_selected(1, 3, selected)
-        assert shard.index == 1 and shard.count == 3
-        assert shard.members == frozenset({fp_of(1), fp_of(2)})
-
-    def test_runtime_options_validate_schedule_knobs(self, tmp_path):
-        RuntimeOptions(schedule="balanced", queue_dir=tmp_path)
-        with pytest.raises(ValueError):
-            RuntimeOptions(schedule="fastest")
-        with pytest.raises(ValueError):
-            RuntimeOptions(queue_batch=0)
-        with pytest.raises(ValueError):
-            RuntimeOptions(queue_lease_s=0.0)
-
-
-class TestWorkQueue:
-    def test_publish_is_idempotent_across_workers(self, tmp_path):
-        fps = [fp_of(i) for i in range(10)]
-        first = WorkQueue(tmp_path, worker_id="0", batch_size=4)
-        second = WorkQueue(tmp_path, worker_id="1", batch_size=4)
-        topic = first.publish(fps)
-        assert second.publish(fps) == topic
-        assert first.stats(topic) == {"pending": 3, "leased": 0, "claimed": 0}
-
-    def test_lease_complete_drains_in_batch_order(self, tmp_path):
-        fps = [fp_of(i) for i in range(5)]
-        queue = WorkQueue(tmp_path, batch_size=2)
-        topic = queue.publish(fps)
-        seen = []
-        while True:
-            batch = queue.lease(topic)
-            if batch is None:
-                break
-            seen.extend(batch.fingerprints)
-            queue.complete(batch)
-        assert seen == fps
-        assert queue.drained(topic)
-        assert queue.claimed_points(topic) == fps
-
-    def test_two_workers_split_the_topic_disjointly(self, tmp_path):
-        fps = [fp_of(i) for i in range(8)]
-        workers = [WorkQueue(tmp_path, worker_id=str(i), batch_size=2) for i in range(2)]
-        topic = workers[0].publish(fps)
-        workers[1].publish(fps)
-        done = [False, False]
-        while not all(done):
-            for i, queue in enumerate(workers):
-                batch = queue.lease(topic)
-                if batch is None:
-                    done[i] = queue.drained(topic)
-                    continue
-                queue.complete(batch)
-        claims = [set(queue.claimed_points(topic)) for queue in workers]
-        assert claims[0].isdisjoint(claims[1])
-        assert claims[0] | claims[1] == set(fps)
-
-    def test_release_returns_a_batch_to_pending(self, tmp_path):
-        queue = WorkQueue(tmp_path, batch_size=2)
-        topic = queue.publish([fp_of(1), fp_of(2)])
-        batch = queue.lease(topic)
-        queue.release(batch)
-        assert queue.stats(topic) == {"pending": 1, "leased": 0, "claimed": 0}
-        assert queue.lease(topic).fingerprints == batch.fingerprints
-
-    def test_live_leases_are_not_stolen(self, tmp_path):
-        holder = WorkQueue(tmp_path, worker_id="0", batch_size=4, lease_expiry_s=30.0)
-        thief = WorkQueue(tmp_path, worker_id="1", batch_size=4, lease_expiry_s=30.0)
-        topic = holder.publish([fp_of(1)])
-        assert holder.lease(topic) is not None
-        assert thief.lease(topic) is None
-        assert not thief.drained(topic)
-
-    def test_expired_leases_are_reclaimed_and_the_loser_told(self, tmp_path):
-        crashed = WorkQueue(tmp_path, worker_id="0", batch_size=4, lease_expiry_s=0.2)
-        survivor = WorkQueue(tmp_path, worker_id="1", batch_size=4, lease_expiry_s=0.2)
-        topic = crashed.publish([fp_of(1), fp_of(2)])
-        stale = crashed.lease(topic)
-        time.sleep(0.4)  # no heartbeat: the lease expires
-        reclaimed = survivor.lease(topic)
-        assert reclaimed is not None
-        assert reclaimed.fingerprints == stale.fingerprints
-        survivor.complete(reclaimed)
-        assert survivor.drained(topic)
-        with pytest.raises(QueueLeaseLost):
-            crashed.complete(stale)
-        assert survivor.claimed_points(topic) == list(stale.fingerprints)
-
-    def test_heartbeat_keeps_a_slow_batch_alive(self, tmp_path):
-        worker = WorkQueue(tmp_path, worker_id="0", batch_size=4, lease_expiry_s=0.4)
-        rival = WorkQueue(tmp_path, worker_id="1", batch_size=4, lease_expiry_s=0.4)
-        topic = worker.publish([fp_of(1)])
-        batch = worker.lease(topic)
-        with worker.heartbeating(batch):
-            time.sleep(1.0)  # several expiry windows
-            assert rival.lease(topic) is None
-        worker.complete(batch)
-        assert worker.drained(topic)
-
-    def test_claimed_stale_leases_are_garbage_collected(self, tmp_path):
-        # Crash window: the claim landed but the process died before the
-        # lease unlink.  The stale lease must never be re-run.
-        queue = WorkQueue(tmp_path, batch_size=4)
-        topic = queue.publish([fp_of(1)])
-        batch = queue.lease(topic)
-        payload = batch.path.read_text()
-        queue.complete(batch)
-        batch.path.write_text(payload)  # resurrect the stale lease
-        other = WorkQueue(tmp_path, worker_id="1", batch_size=4)
-        assert other.lease(topic) is None
-        assert not batch.path.exists()
-        assert other.drained(topic)
-
-    def test_claims_survive_worker_restarts(self, tmp_path):
-        fps = [fp_of(i) for i in range(4)]
-        queue = WorkQueue(tmp_path, worker_id="7", batch_size=2)
-        topic = queue.publish(fps)
-        queue.complete(queue.lease(topic))
-        restarted = WorkQueue(tmp_path, worker_id="7", batch_size=2)
-        assert restarted.claimed_points(topic) == fps[:2]
-
-    def test_constructor_validates_its_knobs(self, tmp_path):
-        with pytest.raises(ValueError):
-            WorkQueue(tmp_path, batch_size=0)
-        with pytest.raises(ValueError):
-            WorkQueue(tmp_path, lease_expiry_s=0.0)
-
-
-class TestExecutorIntegration:
-    def _points(self, cell):
-        return [
-            make_point(cell, capacity=mb(1)),
-            make_point(cell, capacity=mb(2)),
-            make_point(cell, capacity=mb(1), target=OptimizationTarget.AREA),
-            make_point(cell, capacity=mb(2), target=OptimizationTarget.AREA),
-        ]
-
-    def test_fresh_work_feeds_the_ledger_and_warm_work_does_not(
-        self, tmp_path, stt_optimistic
-    ):
-        points = self._points(stt_optimistic)
-        cache = CharacterizationCache(tmp_path / "arrays")
-        ledger = CostLedger(tmp_path / "costs")
-        characterize_points(points, cache=cache, ledger=ledger)
-        assert ledger.observed == len(points)
-        warm = CostLedger(tmp_path / "costs")
-        characterize_points(points, cache=cache, ledger=warm)
-        assert warm.observed == 0
-
-    def test_balanced_shards_cover_the_sweep_exactly_once(
-        self, tmp_path, stt_optimistic
-    ):
-        points = self._points(stt_optimistic)
-        cache = CharacterizationCache(tmp_path / "arrays")
-        ledger = CostLedger(tmp_path / "costs")
-        characterize_points(points, cache=cache, ledger=ledger)
-        selected = []
-        for index in range(2):
-            telemetry = SweepTelemetry()
-            characterize_points(
-                points,
-                cache=cache,
-                ledger=ledger,
-                point_shard=PointShard(index, 2),
-                schedule="balanced",
-                telemetry=telemetry,
-            )
-            assert telemetry.planned_points == {p.fingerprint() for p in points}
-            selected.append(set(telemetry.selected_points))
-        assert selected[0].isdisjoint(selected[1])
-        assert selected[0] | selected[1] == {p.fingerprint() for p in points}
-
-    def test_queue_consumers_share_one_topic_exactly_once(
-        self, tmp_path, stt_optimistic
-    ):
-        points = self._points(stt_optimistic)
-        planned = {p.fingerprint() for p in points}
-        cache = CharacterizationCache(tmp_path / "arrays")
-        first = SweepTelemetry()
-        results = characterize_points(
-            points,
-            cache=cache,
-            telemetry=first,
-            queue=WorkQueue(tmp_path / "queue", worker_id="0", batch_size=2),
-        )
-        assert all(array is not None for array in results)
-        assert first.planned_points == planned
-        assert first.selected_points == planned
-        # A second consumer arriving after the drain owns nothing: every
-        # point is reported skipped-with-fingerprint, exactly like a
-        # point owned by another static shard.
-        second = SweepTelemetry()
-        late = characterize_points(
-            points,
-            cache=cache,
-            telemetry=second,
-            queue=WorkQueue(tmp_path / "queue", worker_id="1", batch_size=2),
-        )
-        assert late == [None] * len(points)
-        assert second.planned_points == planned
-        assert second.selected_points == set()
-
-    def test_queue_consumer_resumes_its_claims_from_cache(
-        self, tmp_path, stt_optimistic
-    ):
-        points = self._points(stt_optimistic)
-        planned = {p.fingerprint() for p in points}
-        cache = CharacterizationCache(tmp_path / "arrays")
-        queue = WorkQueue(tmp_path / "queue", worker_id="0", batch_size=2)
-        characterize_points(points, cache=cache, queue=queue)
-        # Same worker id, fresh process: the claims replay re-accounts
-        # every point this worker already completed, now served warm.
-        telemetry = SweepTelemetry()
-        results = characterize_points(
-            points,
-            cache=cache,
-            telemetry=telemetry,
-            queue=WorkQueue(tmp_path / "queue", worker_id="0", batch_size=2),
-        )
-        assert all(array is not None for array in results)
-        assert telemetry.selected_points == planned
-        assert telemetry.completed_points == planned
-
-
-class TestFsckCosts:
-    def test_fsck_audits_and_quarantines_the_costs_store(self, tmp_path):
-        ledger = CostLedger(tmp_path / "costs")
-        for i in range(3):
-            ledger.observe(fp_of(i), FEATURES, 1.0 + i)
-        ledger.path_for(fp_of(1)).write_text("{ not json")
-        reports = {report.root.name: report for report in fsck_cache_dir(tmp_path)}
-        assert "costs" in reports
-        assert reports["costs"].corrupt == 1
-        assert reports["costs"].ok == 2
-        # The damaged observation is quarantined, not resurrected.
-        clean = CostLedger(tmp_path / "costs")
-        assert clean.load(fp_of(1)) is None
-        assert clean.load(fp_of(2)) is not None

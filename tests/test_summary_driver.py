@@ -435,6 +435,25 @@ def test_point_shard_merge_rejects_seed_mismatch(tmp_path, capsys):
     assert merged.ok
 
 
+def test_point_shard_merge_rejects_empty_fingerprint(tmp_path, capsys):
+    """Every point-shard entry carries the fingerprint of the slice it
+    ran; an entry without one cannot be re-verified and fails the merge."""
+    dirs, cache = _point_shard_runs(tmp_path, 2, only=["fig09_spec_llc"])
+    capsys.readouterr()
+    manifest = RunManifest.load(dirs[1])
+    dataclasses.replace(
+        manifest,
+        entries=tuple(
+            dataclasses.replace(entry, fingerprint="") for entry in manifest.entries
+        ),
+    ).write(dirs[1])
+    from repro.runtime.shard import ShardError
+
+    with pytest.raises(ShardError, match="fig09_spec_llc"):
+        merge_shards(dirs, tmp_path / "merged",
+                     runtime=RuntimeOptions(cache_dir=cache))
+
+
 def test_main_point_shard_flags_and_merge(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     for i in range(2):
