@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from repro.dnn.network import MLP
 from repro.errors import ReproError
 from repro.faults.injection import accuracy_under_faults
 from repro.faults.models import FaultModel
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import DerivedCache
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,18 @@ class TrainedProxy:
         )
 
 
+#: Training hyper-parameters shared by every registered proxy.
+EPOCHS = 30
+LEARNING_RATE = 0.08
+SEED = 3
+
+
 def _train(
     name: str,
     hidden: tuple[int, ...],
-    epochs: int = 30,
-    learning_rate: float = 0.08,
-    seed: int = 3,
+    epochs: int = EPOCHS,
+    learning_rate: float = LEARNING_RATE,
+    seed: int = SEED,
 ) -> TrainedProxy:
     dataset = gaussian_clusters(seed=seed)
     sizes = (dataset.n_features, *hidden, dataset.n_classes)
@@ -80,6 +89,23 @@ def _train(
     )
 
 
+def _restore(
+    name: str,
+    hidden: tuple[int, ...],
+    layers: Sequence[tuple[np.ndarray, np.ndarray]],
+    seed: int = SEED,
+) -> TrainedProxy:
+    """The proxy :func:`_train` yields, rebuilt from its stored layers."""
+    dataset = gaussian_clusters(seed=seed)
+    network = MLP((dataset.n_features, *hidden, dataset.n_classes), seed=seed)
+    for layer, (weight, bias) in zip(network.dense_layers, layers, strict=True):
+        layer.weight, layer.bias = weight, bias
+    accuracy = network.accuracy(dataset.x_test, dataset.y_test)
+    return TrainedProxy(
+        name=name, network=network, dataset=dataset, baseline_accuracy=accuracy
+    )
+
+
 _PROXY_SHAPES: dict[str, tuple[int, ...]] = {
     "resnet18": (96, 96),
     "resnet26": (96, 96, 64),
@@ -87,9 +113,15 @@ _PROXY_SHAPES: dict[str, tuple[int, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def trained_proxy(name: str) -> TrainedProxy:
-    """The cached trained proxy for a workload name."""
+@lru_cache(maxsize=8)
+def trained_proxy(name: str, store: Optional[DerivedCache] = None) -> TrainedProxy:
+    """The cached trained proxy for a workload name.
+
+    Memoized in-process per ``store``; with a derived store
+    (:func:`repro.runtime.cache.derived_cache`) the trained weights and
+    biases also persist across runs, so a warm run rebuilds the network
+    from them instead of retraining it.
+    """
     try:
         hidden = _PROXY_SHAPES[name]
     except KeyError:
@@ -97,4 +129,19 @@ def trained_proxy(name: str) -> TrainedProxy:
             f"no proxy network registered for {name!r} "
             f"(known: {sorted(_PROXY_SHAPES)})"
         ) from None
-    return _train(name, hidden)
+    if store is None:
+        return _train(name, hidden)
+    key = store.key("proxy-layers", {
+        "name": name,
+        "shape": list(hidden),
+        "epochs": EPOCHS,
+        "learning_rate": LEARNING_RATE,
+        "seed": SEED,
+        "numpy": np.__version__,
+    })
+    layers = store.load(key)
+    if layers is not None:
+        return _restore(name, hidden, layers)
+    proxy = _train(name, hidden)
+    store.store(key, [(layer.weight, layer.bias) for layer in proxy.network.dense_layers])
+    return proxy

@@ -7,9 +7,11 @@ exploration; this package is the execution layer that delivers it:
   for sweep points (cell parameters + array provisioning), shared by the
   in-memory and on-disk caches.
 * :mod:`repro.runtime.cache` — persistent content-addressed caches (array
-  characterizations, (array x traffic) evaluation row blocks, and
-  regenerated LLC traffic traces) so repeated and incremental sweeps are
-  near-instant and interrupted sweeps are resumable.
+  characterizations, (array x traffic) evaluation row blocks, regenerated
+  LLC traffic traces, organization clouds, and derived study inputs such
+  as graph BFS counts and trained proxy weights) so repeated and
+  incremental sweeps are near-instant and interrupted sweeps are
+  resumable.
 * :mod:`repro.runtime.executor` — chunked fan-out of characterization and
   (array, traffic) evaluation over a :class:`~concurrent.futures.\
 ProcessPoolExecutor`, with deterministic result ordering and a serial

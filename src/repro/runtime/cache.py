@@ -8,11 +8,15 @@ run interrupted mid-store never leaves a truncated entry and a re-run
 resumes from whatever completed.
 
 Invalidation is by schema tag: the tag participates in the fingerprint,
-so bumping it makes every old entry unreachable.  The stored payload
-additionally records the tag and is re-checked on load, guarding against
-entries copied across versions.
+so bumping it makes every old entry unreachable.  Each entry file is one
+JSON header line ``{"schema", "fingerprint", "sha256"}``, a newline, then
+the JSON body of the result (:func:`encode_entry`).  The header's
+tag is re-checked on load, guarding against entries copied across
+versions, and its ``sha256`` covers the body bytes exactly, so a load
+verifies an entry by hashing the bytes it read before parsing them
+(:func:`decode_entry`).
 
-Four stores share this machinery:
+Five stores share this machinery:
 
 * :class:`CharacterizationCache` — array characterizations, keyed by
   :func:`~repro.runtime.fingerprint.point_fingerprint` (PR 1);
@@ -26,26 +30,33 @@ Four stores share this machinery:
 * :class:`OrganizationCloudCache` — full organization clouds (every
   feasible organization of one request, the Figure 12 co-design input),
   keyed by :meth:`OrganizationCloudCache.fingerprint_for`, so the
-  biggest cold-run cost of the area-efficiency studies is paid once.
+  biggest cold-run cost of the area-efficiency studies is paid once;
+* :class:`DerivedCache` — expensive deterministic study inputs (graph
+  BFS access counts, trained DNN-proxy weights), so a warm run neither
+  builds networkx graphs nor retrains the fig13 proxy.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Union
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.nvsim.result import ArrayCharacterization
 from repro.runtime.fingerprint import (
+    DERIVED_SCHEMA_TAG,
     EVAL_SCHEMA_TAG,
     SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
-    canonical_json,
+    fingerprint_payload,
 )
 
 if TYPE_CHECKING:
@@ -110,6 +121,68 @@ def atomic_write_json(path: Path, payload: Any, **dumps_kwargs: Any) -> None:
     atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
 
 
+#: Keys of an entry file's header line.
+_HEADER_KEYS = frozenset({"schema", "fingerprint", "sha256"})
+
+
+class CorruptEntry(ValueError):
+    """An entry file failed integrity verification; the message says why."""
+
+
+class LegacyEntry(Exception):
+    """An entry file in the old format: one JSON object carrying ``result``."""
+
+
+def encode_entry(schema_tag: str, fingerprint: str, result: Any) -> bytes:
+    """The bytes of one entry file: header line, newline, result body.
+
+    The body keeps the result's key order (no sorting), so rows served
+    from cache produce CSVs byte-identical to freshly computed ones
+    (column order is taken from row insertion order).
+    """
+    body = json.dumps(result).encode("utf-8")
+    header = json.dumps({
+        "schema": schema_tag,
+        "fingerprint": fingerprint,
+        "sha256": hashlib.sha256(body).hexdigest(),
+    })
+    return header.encode("utf-8") + b"\n" + body
+
+
+def _json_object(data: bytes) -> Optional[dict]:
+    """``data`` parsed as one JSON object, or ``None``."""
+    try:
+        value = json.loads(data)
+    except ValueError:  # also UnicodeDecodeError
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def decode_entry(data: bytes, fingerprint: str) -> tuple[str, bytes]:
+    """Verify one entry file; returns its ``(schema tag, body bytes)``.
+
+    The body is hashed, not parsed: the caller parses it only once it is
+    known to be intact.  Raises :class:`LegacyEntry` when ``data`` parses
+    whole as one JSON object carrying ``result`` (the format before
+    header lines), and :class:`CorruptEntry` for anything else malformed:
+    no header line, a recorded fingerprint other than ``fingerprint``,
+    or body bytes whose hash differs from the header's.
+    """
+    head, newline, body = data.partition(b"\n")
+    header = _json_object(head)
+    if header is None or not newline or not _HEADER_KEYS <= header.keys():
+        whole = header if not newline else _json_object(data)
+        if whole is not None and "result" in whole:
+            raise LegacyEntry()
+        raise CorruptEntry(
+            "invalid JSON header" if header is None else "malformed header")
+    if header["fingerprint"] != fingerprint:
+        raise CorruptEntry("fingerprint mismatch")
+    if header["sha256"] != hashlib.sha256(body).hexdigest():
+        raise CorruptEntry("checksum mismatch")
+    return header["schema"], body
+
+
 class JsonObjectCache:
     """On-disk store of JSON-able results keyed by content fingerprint.
 
@@ -161,10 +234,6 @@ class JsonObjectCache:
 
     # --- operations -------------------------------------------------------
 
-    def _checksum(self, encoded_result: Any) -> str:
-        """Content checksum over the canonical form of an encoded result."""
-        return hashlib.sha256(canonical_json(encoded_result).encode("utf-8")).hexdigest()
-
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_SUBDIR
 
@@ -190,46 +259,35 @@ class JsonObjectCache:
     def load(self, fingerprint: str):
         """The cached result, or ``None`` on miss or corruption.
 
-        A missing file or a schema-tag mismatch is an ordinary miss.  An
-        entry that fails integrity verification — undecodable JSON, a
-        checksum or fingerprint mismatch, or a payload the decoder
-        rejects — counts in ``corrupt`` (not ``misses``) and is moved to
-        ``quarantine/`` so the next store cannot silently paper over it.
-        Entries written before checksums existed carry no ``checksum``
-        field and are accepted as-is when they decode cleanly.
+        A missing file, a schema-tag mismatch or an old-format entry
+        (:class:`LegacyEntry`; the next store overwrites it) is an
+        ordinary miss.  An entry that fails integrity verification — no
+        header line, a checksum or fingerprint mismatch, or a body the
+        decoder rejects — counts in ``corrupt`` (not ``misses``) and is
+        moved to ``quarantine/`` so the next store cannot silently paper
+        over it.
         """
         path = self.path_for(fingerprint)
         if self.chaos is not None:
             self.chaos.maybe_corrupt_file(path, fingerprint)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
-        except UnicodeDecodeError:
-            self._quarantine(fingerprint, path, "undecodable bytes")
-            return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            self._quarantine(fingerprint, path, "invalid JSON")
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(fingerprint, path, "payload is not an object")
-            return None
-        if payload.get("schema") != self.schema_tag:
+            schema, body = decode_entry(data, fingerprint)
+        except LegacyEntry:
             self.misses += 1
             return None
-        stored_fp = payload.get("fingerprint")
-        if stored_fp is not None and stored_fp != fingerprint:
-            self._quarantine(fingerprint, path, "fingerprint mismatch")
+        except CorruptEntry as exc:
+            self._quarantine(fingerprint, path, str(exc))
             return None
-        checksum = payload.get("checksum")
-        if checksum is not None and checksum != self._checksum(payload.get("result")):
-            self._quarantine(fingerprint, path, "checksum mismatch")
+        if schema != self.schema_tag:
+            self.misses += 1
             return None
         try:
-            result = self._decode(payload["result"])
+            result = self._decode(json.loads(body))
         except (ReproError, KeyError, TypeError, ValueError):
             self._quarantine(fingerprint, path, "payload failed to decode")
             return None
@@ -237,27 +295,11 @@ class JsonObjectCache:
         return result
 
     def store(self, fingerprint: str, result) -> None:
-        """Persist one result atomically, with a content checksum."""
+        """Persist one result atomically, with a body checksum."""
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        encoded = self._encode(result)
-        payload = {
-            "schema": self.schema_tag,
-            "fingerprint": fingerprint,
-            "checksum": self._checksum(encoded),
-            "result": encoded,
-        }
-        tmp = _tmp_path_for(path)
-        # No key sorting: the result payload must round-trip with its
-        # original key order, so rows served from cache produce CSVs
-        # byte-identical to freshly computed ones (column order is taken
-        # from row insertion order).
-        try:
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write_bytes(
+            path, encode_entry(self.schema_tag, fingerprint, self._encode(result)))
         self.stores += 1
 
     def __contains__(self, fingerprint: str) -> bool:
@@ -443,3 +485,95 @@ class LLCTraceCache(JsonObjectCache):
         from repro.cachesim.llc import LLCTrace
 
         return LLCTrace.from_dict(payload)
+
+
+def _array_to_json(array: np.ndarray) -> dict[str, Any]:
+    """An exact JSON rendering of one array: dtype, shape, raw bytes."""
+    return {
+        "dtype": array.dtype.str,
+        "shape": list(array.shape),
+        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+    }
+
+
+def _array_from_json(payload: Mapping[str, Any]) -> np.ndarray:
+    data = base64.b64decode(payload["data"], validate=True)
+    array = np.frombuffer(data, dtype=np.dtype(payload["dtype"]))
+    return array.reshape(payload["shape"]).copy()
+
+
+class DerivedCache(JsonObjectCache):
+    """On-disk store of expensive deterministic study inputs.
+
+    Two kinds of entry, each keyed (:meth:`key`) by everything that
+    determines it:
+
+    * ``bfs-counts`` — the :class:`~repro.traffic.graph.AccessCounts` of
+      one BFS over one synthetic social graph, so a warm run neither
+      imports networkx nor builds the graph;
+    * ``proxy-layers`` — the trained ``(weight, bias)`` arrays of one
+      DNN proxy's dense layers (:func:`repro.dnn.proxies.trained_proxy`),
+      stored bit-exactly, so a warm run does not retrain it.
+    """
+
+    def __init__(
+        self,
+        root: Union[str, Path],
+        schema_tag: str = DERIVED_SCHEMA_TAG,
+        chaos: Optional["ChaosOptions"] = None,
+    ) -> None:
+        super().__init__(root, schema_tag, chaos=chaos)
+
+    def key(self, kind: str, params: Mapping[str, Any]) -> str:
+        """Stable content key for one ``kind`` of entry with ``params``."""
+        return fingerprint_payload({"kind": kind, "schema": self.schema_tag, **params})
+
+    def _encode(self, result) -> Any:
+        # Imported lazily: the graph module's callers pass this store in.
+        from repro.traffic.graph import AccessCounts
+
+        if isinstance(result, AccessCounts):
+            return {
+                "kind": "bfs-counts",
+                "reads": result.reads,
+                "writes": result.writes,
+                "edges_traversed": result.edges_traversed,
+            }
+        return {
+            "kind": "proxy-layers",
+            "layers": [[_array_to_json(w), _array_to_json(b)] for w, b in result],
+        }
+
+    def _decode(self, payload):
+        from repro.traffic.graph import AccessCounts
+
+        kind = payload["kind"]
+        if kind == "bfs-counts":
+            return AccessCounts(
+                int(payload["reads"]),
+                int(payload["writes"]),
+                int(payload["edges_traversed"]),
+            )
+        if kind == "proxy-layers":
+            return [
+                (_array_from_json(w), _array_from_json(b))
+                for w, b in payload["layers"]
+            ]
+        raise ValueError(f"unknown derived entry kind {kind!r}")
+
+
+def derived_cache(runtime) -> Optional[DerivedCache]:
+    """The derived-input store for one :class:`RuntimeOptions`, or ``None``.
+
+    Lives under ``<cache_dir>/derived`` next to the other stores; returns
+    ``None`` when the runtime is absent or keeps no persistent cache, and
+    callers then fall back to their in-process memo alone.
+    """
+    if runtime is None or runtime.cache_dir is None:
+        return None
+    from repro.runtime.options import DERIVED_CACHE_SUBDIR
+
+    return DerivedCache(
+        Path(runtime.cache_dir) / DERIVED_CACHE_SUBDIR,
+        chaos=runtime.chaos,
+    )

@@ -450,6 +450,23 @@ def _apply_rows_fn(rows_fn, traffic, extra, array):
     return rows_fn(array, traffic, extra)
 
 
+#: Immutable value types: a row holding only these shares nothing mutable.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_row(row: dict) -> dict:
+    """A copy of ``row`` sharing no mutable value with it.
+
+    A flat row (every value a ``str``/``int``/``float``/``bool``/``None``)
+    is copied with ``dict(row)``; any other row — nested lists or dicts,
+    or values of other types — is deep-copied, since a shallow copy would
+    alias its mutable parts with the memo and the persisted block.
+    """
+    if _SCALAR_TYPES.issuperset(map(type, row.values())):
+        return dict(row)
+    return copy.deepcopy(row)
+
+
 def evaluate_blocks(
     arrays: Sequence[ArrayCharacterization],
     traffic: Sequence,
@@ -473,9 +490,11 @@ def evaluate_blocks(
     ``extra`` carries its JSON-able parameters and participates in the
     cache key.  Lookup order mirrors :func:`characterize_points`: the
     in-process ``memory`` dict, then the on-disk ``cache``; fresh blocks
-    are written back to both.  Returned rows are deep copies, so callers
-    may annotate them — including nested values — without corrupting the
-    in-memory memo or the persisted cache entries.
+    are written back to both.  Returned rows are copies that share no
+    mutable value with the memo (:func:`_copy_row`: flat rows are copied
+    with ``dict(row)``, rows with nested values are deep-copied), so
+    callers may annotate them — including nested values — without
+    corrupting the in-memory memo or the persisted cache entries.
 
     An active ``point_shard`` restricts the work to this host's slice of
     the (array x traffic-block) space by evaluation fingerprint: blocks
@@ -586,8 +605,7 @@ def evaluate_blocks(
             on_outcome=_on_outcome,
             on_retry=_on_retry,
         )
-    # Deep-copy at the memo boundary: a shallow per-row dict() copy would
-    # still alias nested mutable values (lists, dicts) with the in-memory
-    # memo and the block handed to the persistent cache, so annotating a
-    # returned row could silently corrupt every later cache hit.
-    return [copy.deepcopy(rows) for rows in results]
+    return [
+        None if rows is None else [_copy_row(row) for row in rows]
+        for rows in results
+    ]

@@ -41,6 +41,11 @@ TRACE_SCHEMA_TAG = "llc-trace-v1"
 #: stored alphabetized keys and must not be served.)
 EVAL_SCHEMA_TAG = "eval-rows-v2"
 
+#: Version tag of the derived-input store: graph BFS access counts and
+#: trained DNN-proxy weights, plus their payload format.  Bump whenever
+#: graph generation, the BFS kernel or proxy training changes results.
+DERIVED_SCHEMA_TAG = "derived-inputs-v1"
+
 #: Which source feeds each schema tag — the drift ratchet's ground truth.
 #:
 #: Maps the tag's constant name to ``(defining_module, source_modules)``.
@@ -76,6 +81,11 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
     "EVAL_SCHEMA_TAG": (
         "repro.runtime.fingerprint",
         ("repro.core.metrics", "repro.runtime.fingerprint"),
+    ),
+    # derived/ store: BFS access counts and trained proxy weights.
+    "DERIVED_SCHEMA_TAG": (
+        "repro.runtime.fingerprint",
+        ("repro.traffic.graph", "repro.dnn", "repro.runtime.fingerprint"),
     ),
     # Cost-ledger entries.
     "COST_SCHEMA_TAG": (

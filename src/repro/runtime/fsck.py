@@ -6,9 +6,11 @@ disk, stale ``*.tmp.*`` files leaked by a run that died between write
 and rename, and a ``quarantine/`` backlog of entries the loaders moved
 aside.  ``fsck`` makes that state explicit and repairs what it can:
 
-- verifies every entry's JSON shape, recorded fingerprint (must match
-  its filename), and content checksum (entries predating checksums are
-  reported as *legacy* but kept);
+- verifies every entry's header line, recorded fingerprint (must match
+  its filename) and body checksum with the loaders' own reader
+  (:func:`repro.runtime.cache.decode_entry`); entries in the old
+  single-object format are reported as *legacy* and kept — loads treat
+  them as misses and the next store rewrites them;
 - moves entries that fail verification to ``<store>/quarantine/``,
   exactly like the runtime loaders do — never deleted, never silently
   overwritten;
@@ -29,7 +31,6 @@ converges: the second pass exits 0.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -37,14 +38,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.runtime.cache import QUARANTINE_SUBDIR, _tmp_path_for
-from repro.runtime.fingerprint import canonical_json
+from repro.runtime.cache import (
+    QUARANTINE_SUBDIR,
+    CorruptEntry,
+    LegacyEntry,
+    _tmp_path_for,
+    decode_entry,
+)
 from repro.runtime.shard import RunManifest
 
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
 
 #: Store subdirectories fsck knows about inside a unified cache root.
-_KNOWN_STORES = ("arrays", "evaluations", "traces", "clouds")
+_KNOWN_STORES = ("arrays", "evaluations", "traces", "clouds", "derived")
 
 
 @dataclass
@@ -54,7 +60,7 @@ class FsckReport:
     root: Path
     scanned: int = 0
     ok: int = 0
-    legacy: int = 0  # valid entries written before checksums existed
+    legacy: int = 0  # old-format entries: loads miss, the next store rewrites
     corrupt: int = 0  # entries quarantined by this pass
     repaired: int = 0  # entries re-materialized from the sibling cache
     swept_tmp: int = 0  # stale *.tmp.* files removed
@@ -85,7 +91,7 @@ class FsckReport:
             f"{self.corrupt} corrupt"
         )
         if self.legacy:
-            text += f", {self.legacy} legacy (no checksum)"
+            text += f", {self.legacy} legacy (old format)"
         if self.repaired:
             text += f", {self.repaired} repaired"
         if self.swept_tmp:
@@ -107,30 +113,19 @@ def _entry_fingerprint(path: Path) -> str:
 def _verify_entry(path: Path) -> tuple[str, str]:
     """Verify one entry file.
 
-    Returns ``(status, reason)`` with status ``"ok"``, ``"legacy"`` (valid
-    but checksum-less), or ``"corrupt"``.
+    Returns ``(status, reason)`` with status ``"ok"``, ``"legacy"`` (old
+    single-object format), or ``"corrupt"``.
     """
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError):
-        return "corrupt", "unreadable or undecodable bytes"
-    except json.JSONDecodeError:
-        return "corrupt", "invalid JSON"
-    if not isinstance(payload, dict):
-        return "corrupt", "payload is not an object"
-    if "schema" not in payload or "result" not in payload:
-        return "corrupt", "missing schema/result fields"
-    stored_fp = payload.get("fingerprint")
-    if stored_fp is not None and stored_fp != _entry_fingerprint(path):
-        return "corrupt", "recorded fingerprint does not match filename"
-    checksum = payload.get("checksum")
-    if checksum is None:
-        return "legacy", "entry predates content checksums"
-    actual = hashlib.sha256(
-        canonical_json(payload["result"]).encode("utf-8")
-    ).hexdigest()
-    if checksum != actual:
-        return "corrupt", "checksum mismatch"
+        data = path.read_bytes()
+    except OSError:
+        return "corrupt", "unreadable"
+    try:
+        decode_entry(data, _entry_fingerprint(path))
+    except LegacyEntry:
+        return "legacy", "entry predates header lines"
+    except CorruptEntry as exc:
+        return "corrupt", str(exc)
     return "ok", ""
 
 
@@ -194,7 +189,7 @@ def fsck_store(
             source = sibling / fp[:2] / f"{fp}.json"
             if not source.exists():
                 continue
-            if _verify_entry(source)[0] == "corrupt":
+            if _verify_entry(source)[0] != "ok":
                 continue
             target.parent.mkdir(parents=True, exist_ok=True)
             tmp = _tmp_path_for(target)
@@ -220,9 +215,9 @@ def fsck_cache_dir(
     """Audit every store under a unified cache root.
 
     Recognizes the standard layout (``arrays/``, ``evaluations/``,
-    ``traces/``, ``clouds/``); a directory that itself fans out into
-    two-hex-digit subdirs is treated as a single bare store.  ``repair_from`` names a
-    sibling cache root with the same layout.
+    ``traces/``, ``clouds/``, ``derived/``); a directory that itself fans
+    out into two-hex-digit subdirs is treated as a single bare store.
+    ``repair_from`` names a sibling cache root with the same layout.
     """
     cache_dir = Path(cache_dir)
     sibling = Path(repair_from) if repair_from is not None else None
@@ -276,7 +271,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "cache_dir", nargs="?", default=None,
-        help="unified cache root to audit (arrays/, evaluations/, traces/)",
+        help="unified cache root to audit (arrays/, evaluations/, traces/, "
+             "clouds/, derived/)",
     )
     parser.add_argument(
         "--repair-from", metavar="DIR", default=None,

@@ -12,6 +12,7 @@ CLI, and :class:`~repro.core.engine.DSEEngine`.
     <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
     <cache_dir>/traces/       regenerated LLC traffic traces
     <cache_dir>/clouds/       full organization clouds (Figure 12 studies)
+    <cache_dir>/derived/      graph BFS access counts, trained DNN-proxy weights
 
 ``trace_cache_dir`` overrides only the trace store (traces are produced
 by the cache simulator, not the characterizer, so some deployments keep
@@ -34,6 +35,7 @@ ARRAY_CACHE_SUBDIR = "arrays"
 EVALUATION_CACHE_SUBDIR = "evaluations"
 TRACE_CACHE_SUBDIR = "traces"
 CLOUD_CACHE_SUBDIR = "clouds"
+DERIVED_CACHE_SUBDIR = "derived"
 
 
 @dataclass(frozen=True)

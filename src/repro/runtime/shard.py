@@ -43,6 +43,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from repro.errors import ReproError
 from repro.runtime.cache import atomic_write_bytes
 from repro.runtime.fingerprint import (
+    DERIVED_SCHEMA_TAG,
     EVAL_SCHEMA_TAG,
     SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
@@ -77,6 +78,7 @@ def schema_tags() -> dict[str, str]:
         "arrays": SCHEMA_TAG,
         "evaluations": EVAL_SCHEMA_TAG,
         "traces": TRACE_SCHEMA_TAG,
+        "derived": DERIVED_SCHEMA_TAG,
     }
 
 

@@ -19,7 +19,7 @@ from repro.core.engine import SweepSpec
 from repro.nvsim import all_organizations
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.cache import organization_cloud_cache
+from repro.runtime.cache import derived_cache, organization_cloud_cache
 from repro.runtime.options import RuntimeOptions, engine_for
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.traffic.generic import graph_envelope_sweep
@@ -43,7 +43,7 @@ def back_gated_fefet_study(
         sram_cell(SRAM_NODE_NM),
     ]
     traffic = graph_envelope_sweep(points_per_axis=points_per_axis)
-    traffic.append(wikipedia_bfs_traffic())
+    traffic.append(wikipedia_bfs_traffic(derived_cache(runtime)))
     traffic.extend(spec2017_suite()[:6])
     spec = SweepSpec(
         cells=cells,

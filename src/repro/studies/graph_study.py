@@ -13,6 +13,7 @@ from typing import Optional
 from repro.cells import STUDY_TECHNOLOGIES, sram_cell, study_cells
 from repro.core.engine import SweepSpec
 from repro.results.table import ResultTable
+from repro.runtime.cache import derived_cache
 from repro.runtime.options import RuntimeOptions, engine_for
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.nvsim.result import OptimizationTarget
@@ -35,7 +36,8 @@ def graph_study(
     """Figure 8: generic graph traffic (+ BFS kernel points) on 8 MB arrays."""
     traffic = graph_envelope_sweep(points_per_axis=points_per_axis)
     if include_kernels:
-        traffic = traffic + [facebook_bfs_traffic(), wikipedia_bfs_traffic()]
+        store = derived_cache(runtime)
+        traffic = traffic + [facebook_bfs_traffic(store), wikipedia_bfs_traffic(store)]
     cells = study_cells(STUDY_TECHNOLOGIES) + [sram_cell(SRAM_NODE_NM)]
     spec = SweepSpec(
         cells=cells,

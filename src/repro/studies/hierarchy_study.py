@@ -19,6 +19,7 @@ from repro.core.hierarchy import evaluate_hierarchy
 from repro.core.writebuffer import coalescing_factor
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
+from repro.runtime.cache import derived_cache
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.studies.arrays import ENVM_NODE_NM
 from repro.traffic.graph import facebook_bfs_traffic
@@ -61,7 +62,7 @@ def hierarchy_study(
 
         traffic = regenerated_traffic(SYNTHETIC_SUITE[1:2], runtime)[0]
     else:
-        traffic = facebook_bfs_traffic()
+        traffic = facebook_bfs_traffic(derived_cache(runtime))
     front_cell = tentpoles_for(TechnologyClass.STT).optimistic
     table = ResultTable()
     for tech in backing_techs:

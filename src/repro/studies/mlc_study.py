@@ -21,6 +21,7 @@ from repro.dnn.proxies import trained_proxy
 from repro.faults.models import FAULT_MODELLED_TECHNOLOGIES, fault_model_for
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
+from repro.runtime.cache import derived_cache
 from repro.runtime.options import RuntimeOptions, ensure_runtime
 from repro.studies.arrays import ENVM_NODE_NM
 from repro.units import mb
@@ -46,7 +47,7 @@ def mlc_study(
     """Figure 13: density/performance vs. fault-injected accuracy."""
     runtime = ensure_runtime(runtime)
     engine = runtime.engine()
-    proxy = trained_proxy(workload)
+    proxy = trained_proxy(workload, derived_cache(runtime))
     table = ResultTable()
 
     cells: list[CellTechnology] = []

@@ -16,6 +16,7 @@ from repro.core.metrics import evaluation_record
 from repro.core.writebuffer import DEFAULT_SCENARIOS, WriteBufferConfig, evaluate_with_buffer
 from repro.nvsim.result import OptimizationTarget
 from repro.results.table import ResultTable
+from repro.runtime.cache import derived_cache
 from repro.runtime.options import RuntimeOptions, engine_for
 from repro.studies.arrays import ENVM_NODE_NM, SRAM_NODE_NM
 from repro.traffic.base import TrafficPattern
@@ -53,7 +54,7 @@ def writebuffer_study(
     """Figure 14: eNVM power/latency across write-buffer scenarios."""
     if not workloads:
         workloads = (
-            facebook_bfs_traffic(),
+            facebook_bfs_traffic(derived_cache(runtime)),
             spec_traffic(benchmark_by_name("605.mcf_s")),
             spec_traffic(benchmark_by_name("619.lbm_s")),
         )

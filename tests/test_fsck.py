@@ -29,10 +29,10 @@ def _populate(root, count=3, salt="fsck"):
 
 
 def _damage(root, fp):
-    """Flip one result digit so the JSON parses but the checksum fails."""
+    """Flip one body digit so the JSON parses but the checksum fails."""
     path = root / fp[:2] / f"{fp}.json"
     data = bytearray(path.read_bytes())
-    data[-4] ^= 0x01  # the row value inside {"row": N}
+    data[-3] ^= 0x01  # the row value inside [{"row": N}]
     path.write_bytes(bytes(data))
     return path
 
@@ -91,6 +91,22 @@ class TestFsckStore:
         assert report.ok == 1
         assert path.exists()
         assert "legacy" in report.summary()
+
+    def test_old_format_entry_is_legacy_not_ok(self, tmp_path):
+        # What the previous store wrote: one object with a checksum field.
+        fp = fingerprint_payload({"legacy": "checksummed"})
+        path = tmp_path / fp[:2] / f"{fp}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema": EvaluationCache(tmp_path).schema_tag, "fingerprint": fp,
+            "checksum": "0" * 64, "result": [{"row": 1}],
+        }))
+        _populate(tmp_path, count=1)
+        report = fsck_store(tmp_path)
+        assert report.clean
+        assert (report.scanned, report.legacy, report.corrupt) == (2, 1, 0)
+        assert path.exists()
+        assert "1 legacy (old format)" in report.summary()
 
     def test_stale_tmp_files_swept(self, tmp_path):
         fingerprints = _populate(tmp_path)

@@ -1,6 +1,7 @@
 """The parallel sweep runtime: fingerprints, persistent cache, executor."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import threading
@@ -26,6 +27,7 @@ from repro.runtime import (
     point_fingerprint,
     sweep_points,
 )
+from repro.runtime.cache import encode_entry
 from repro.runtime.executor import rows_fn_id
 from repro.traffic import TrafficPattern
 from repro.units import mb
@@ -151,22 +153,31 @@ class TestCharacterizationCache:
         fp = make_point(stt_optimistic).fingerprint()
         cache.store(fp, stt_array_1mb)
         path = cache.path_for(fp)
-        payload = json.loads(path.read_text())
-        payload["result"]["organization"]["banks"] = 999999
-        path.write_text(json.dumps(payload))
+        header, body = _split_entry(path)
+        body["organization"]["banks"] = 999999
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + json.dumps(body).encode())
         assert cache.load(fp) is None
         assert cache.corrupt == 1
         assert (cache.quarantine_dir() / f"{fp}.json").exists()
 
-    def test_legacy_entry_without_checksum_still_hits(
+    def test_legacy_entry_is_a_miss_and_next_store_overwrites(
             self, tmp_path, stt_optimistic, stt_array_1mb):
         cache = CharacterizationCache(tmp_path)
         fp = make_point(stt_optimistic).fingerprint()
-        cache.store(fp, stt_array_1mb)
         path = cache.path_for(fp)
-        payload = json.loads(path.read_text())
-        del payload["checksum"]  # entry written before checksums existed
-        path.write_text(json.dumps(payload))
+        path.parent.mkdir(parents=True)
+        # The old format: one JSON object carrying the result.
+        path.write_text(json.dumps({
+            "schema": cache.schema_tag, "fingerprint": fp,
+            "checksum": "0" * 64, "result": stt_array_1mb.to_dict(),
+        }))
+        assert cache.load(fp) is None
+        assert cache.misses == 1
+        assert cache.corrupt == 0
+        assert path.exists()  # not quarantined
+        cache.store(fp, stt_array_1mb)
+        assert _split_entry(path)[0]["fingerprint"] == fp
         assert cache.load(fp) == stt_array_1mb
         assert cache.corrupt == 0
 
@@ -235,6 +246,86 @@ class TestCharacterizationCache:
         assert errors == []
         assert cache.load(fp) == stt_array_1mb
         assert list(tmp_path.rglob("*.tmp.*")) == []
+
+
+def _split_entry(path):
+    """One entry file's (header, body), both parsed."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(head), json.loads(body)
+
+
+def _flip(offset):
+    """Damage that XORs one byte of the file, like a bad disk."""
+    def damage(data: bytes) -> bytes:
+        index = offset(data)
+        return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1:]
+    return damage
+
+
+_ENTRY_DAMAGE = {
+    # Flips the row's value 1 -> 0: the body still parses, only the
+    # checksum can tell.
+    "body-bitflip": _flip(lambda data: data.index(b'"row": 1') + 7),
+    "header-bitflip": _flip(lambda data: data.index(b'"sha256": "') + 12),
+    "newline-flip": _flip(lambda data: data.index(b"\n")),
+    "truncated": lambda data: data[: len(data) // 2],
+    "header-only": lambda data: data[: data.index(b"\n") + 1],
+}
+
+
+class TestEntryFormat:
+    """Header line + body: damage anywhere is corrupt, not a miss."""
+
+    def test_header_checksums_the_body_bytes(self, tmp_path):
+        cache = EvaluationCache(tmp_path)
+        cache.store("ab" * 32, [{"zeta": 1.5, "alpha": None}])
+        head, body = cache.path_for("ab" * 32).read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        assert set(header) == {"schema", "fingerprint", "sha256"}
+        assert header["schema"] == cache.schema_tag
+        assert header["fingerprint"] == "ab" * 32
+        assert header["sha256"] == hashlib.sha256(body).hexdigest()
+        assert body == b'[{"zeta": 1.5, "alpha": null}]'
+
+    @pytest.mark.parametrize("damage", sorted(_ENTRY_DAMAGE))
+    def test_damaged_entry_is_corrupt_and_quarantined(self, tmp_path, damage):
+        cache = EvaluationCache(tmp_path)
+        fp = "cd" * 32
+        cache.store(fp, [{"row": 1, "name": "x"}])
+        path = cache.path_for(fp)
+        damaged = _ENTRY_DAMAGE[damage](path.read_bytes())
+        path.write_bytes(damaged)
+        assert cache.load(fp) is None
+        assert (cache.corrupt, cache.misses, cache.hits) == (1, 0, 0)
+        assert not path.exists()
+        assert (cache.quarantine_dir() / f"{fp}.json").read_bytes() == damaged
+        cache.store(fp, [{"row": 1, "name": "x"}])
+        assert cache.load(fp) == [{"row": 1, "name": "x"}]
+
+    def test_fingerprint_mismatch_is_corrupt(self, tmp_path):
+        cache = EvaluationCache(tmp_path)
+        cache.store("ab" * 32, [{"row": 1}])
+        moved = cache.path_for("ac" * 32)
+        moved.parent.mkdir(parents=True)
+        moved.write_bytes(cache.path_for("ab" * 32).read_bytes())
+        assert cache.load("ac" * 32) is None
+        assert cache.corrupt == 1
+
+    def test_old_format_entry_is_a_miss_then_overwritten(self, tmp_path):
+        cache = EvaluationCache(tmp_path)
+        fp = "ef" * 32
+        path = cache.path_for(fp)
+        path.parent.mkdir(parents=True)
+        old = json.dumps({"schema": cache.schema_tag, "fingerprint": fp,
+                          "checksum": "0" * 64, "result": [{"row": 2}]})
+        path.write_text(old)
+        assert cache.load(fp) is None
+        assert (cache.misses, cache.corrupt, cache.quarantined) == (1, 0, 0)
+        assert path.read_text() == old
+        cache.store(fp, [{"row": 2}])
+        assert path.read_text() != old
+        assert cache.load(fp) == [{"row": 2}]
+        assert cache.hits == 1
 
 
 class TestExecutor:
@@ -399,6 +490,11 @@ class TestEvaluationCache:
         assert cache.load("cd" * 32) is None
         assert cache.corrupt == 1
         assert not path.exists()
+        # A well-formed entry whose body the decoder rejects is corrupt too.
+        path.write_bytes(encode_entry(cache.schema_tag, "cd" * 32, {"a": 1}))
+        assert cache.load("cd" * 32) is None
+        assert cache.corrupt == 2
+        assert not path.exists()
 
 
 def _tagged_rows(array, traffic, extra):
@@ -477,6 +573,29 @@ class TestEvaluateBlocks:
                                 rows_fn=_nested_rows)
         assert third[0][0]["nested"] == {"value": 1}
         assert third[0][0]["tags"] == ["a"]
+
+    def test_flat_rows_are_copies_too(self, tmp_path, stt_array_1mb):
+        """Flat rows take the shallow dict() copy; it must still be a copy."""
+        cache = EvaluationCache(tmp_path)
+        memory = {}
+        traffic = _traffic_pair()
+        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
+                                cache=cache)
+        # The default evaluator's rows are flat: the shallow path is taken.
+        assert all(
+            isinstance(value, (str, int, float, bool, type(None)))
+            for row in first[0] for value in row.values()
+        )
+        expected = [dict(row) for row in first[0]]
+        for row in first[0]:
+            row["tech"] = "mutated"
+            row["annotation"] = 1
+        assert [dict(row) for row in memory[next(iter(memory))]] == expected
+        second = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
+                                 cache=cache)
+        assert second[0] == expected
+        third = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
+        assert third[0] == expected
 
     def test_custom_rows_fn_and_extra_key_separately(self, tmp_path,
                                                      stt_array_1mb):

@@ -186,7 +186,7 @@ def test_source_digest_is_stable_hex():
 
 
 def test_schema_tags_cover_every_cache_layer():
-    assert set(schema_tags()) == {"arrays", "evaluations", "traces"}
+    assert set(schema_tags()) == {"arrays", "evaluations", "traces", "derived"}
 
 
 # --- manifests ------------------------------------------------------------
