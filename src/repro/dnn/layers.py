@@ -1,7 +1,7 @@
 """Neural-network layers on numpy.
 
 A small inference/training substrate standing in for PyTorch in the fault
-studies (DESIGN.md, "Substitutions"): dense layers with ReLU, softmax
+studies (README.md, "Substitutions"): dense layers with ReLU, softmax
 cross-entropy, and enough backward-pass machinery for deterministic SGD
 training on the synthetic tasks.
 """

@@ -33,7 +33,7 @@ Five stores share this machinery:
   biggest cold-run cost of the area-efficiency studies is paid once;
 * :class:`DerivedCache` — expensive deterministic study inputs (graph
   BFS access counts, trained DNN-proxy weights), so a warm run neither
-  builds networkx graphs nor retrains the fig13 proxy.
+  builds the synthetic social graphs nor retrains the fig13 proxy.
 """
 
 from __future__ import annotations
@@ -509,8 +509,8 @@ class DerivedCache(JsonObjectCache):
     determines it:
 
     * ``bfs-counts`` — the :class:`~repro.traffic.graph.AccessCounts` of
-      one BFS over one synthetic social graph, so a warm run neither
-      imports networkx nor builds the graph;
+      one BFS over one synthetic social graph, so a warm run does not
+      build the graph;
     * ``proxy-layers`` — the trained ``(weight, bias)`` arrays of one
       DNN proxy's dense layers (:func:`repro.dnn.proxies.trained_proxy`),
       stored bit-exactly, so a warm run does not retrain it.

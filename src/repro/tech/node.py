@@ -11,7 +11,7 @@ as threshold voltages drop.
 
 The absolute values are representative rather than foundry-exact — the
 reproduction needs correct relative behaviour across nodes and technologies
-(see DESIGN.md, "Substitutions").
+(see README.md, "Substitutions").
 """
 
 from __future__ import annotations

@@ -8,16 +8,20 @@ builds synthetic scale-free graphs with matching vertex/edge scale
 (preferential attachment gives the heavy-tailed degree distribution social
 networks have), executes the kernels for real with access counting, and
 converts the counts into scratchpad traffic at the accelerator's throughput
-(see DESIGN.md, "Substitutions").
+(see README.md, "Substitutions").
 
-networkx is imported only when a graph is built: the BFS counts behind the
-Figure 8 points persist in the derived store
-(:class:`~repro.runtime.cache.DerivedCache`), so a warm run never loads it.
+The Barabási–Albert generator is in-repo and makes exactly the random draws
+of ``networkx.barabasi_albert_graph`` (networkx 3.x), so every vertex's
+neighbour order -- and hence every kernel count -- matches it; networkx is
+only the test suite's parity oracle.  Graphs are immutable
+:class:`SocialGraph` adjacency tuples, safe to share from the in-process
+memo.  The BFS counts behind the Figure 8 points also persist in the
+derived store (:class:`~repro.runtime.cache.DerivedCache`).
 """
 
 from __future__ import annotations
 
-import importlib.metadata
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -26,8 +30,6 @@ from repro.errors import TrafficError
 from repro.traffic.base import TrafficPattern
 
 if TYPE_CHECKING:
-    import networkx as nx
-
     from repro.runtime.cache import DerivedCache
 
 #: Scratchpad access granularity (one vertex property record).
@@ -57,22 +59,87 @@ FACEBOOK_SCALE = (4039, 22)
 WIKIPEDIA_SCALE = (7115, 15)
 
 
-@lru_cache(maxsize=8)
-def synthetic_social_graph(n_vertices: int, attachment: int, seed: int = 7) -> nx.Graph:
-    """A scale-free graph standing in for a SNAP social network."""
-    import networkx as nx
+@dataclass(frozen=True)
+class SocialGraph:
+    """An immutable undirected graph on vertices ``0 .. n-1``.
 
+    ``adjacency[u]`` is the tuple of ``u``'s neighbours in edge-insertion
+    order.  The accessors mirror the ``networkx.Graph`` methods of the
+    same names.
+    """
+
+    adjacency: tuple[tuple[int, ...], ...]
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self.adjacency))
+
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        return self.adjacency[u]
+
+    def degree(self, u: int) -> int:
+        return len(self.adjacency[u])
+
+    def number_of_nodes(self) -> int:
+        return len(self.adjacency)
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
+
+
+def _barabasi_albert_adjacency(
+    n_vertices: int, attachment: int, seed: int
+) -> tuple[tuple[int, ...], ...]:
+    """Preferential-attachment adjacency, draw for draw as networkx 3.x.
+
+    Starts from the star on ``attachment + 1`` vertices (hub 0).  Each new
+    vertex draws ``attachment`` distinct targets with
+    ``random.Random(seed).choice`` over the list holding every vertex once
+    per incident edge, and links to them in the iteration order of the
+    ``set`` that collected them.  ``choice(seq)`` is inlined as what it
+    runs: ``seq[r]`` for the first ``r = getrandbits(len(seq).bit_length())``
+    below ``len(seq)``, which consumes the generator identically.
+    """
+    m = attachment
+    getrandbits = random.Random(seed).getrandbits
+    adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
+    adjacency[0].extend(range(1, m + 1))
+    for spoke in range(1, m + 1):
+        adjacency[spoke].append(0)
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n_vertices):
+        n = len(repeated)
+        bits = n.bit_length()
+        targets: set[int] = set()
+        while len(targets) < m:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            targets.add(repeated[r])
+        adjacency[source].extend(targets)
+        for target in targets:
+            adjacency[target].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return tuple(map(tuple, adjacency))
+
+
+@lru_cache(maxsize=8)
+def synthetic_social_graph(n_vertices: int, attachment: int, seed: int = 7) -> SocialGraph:
+    """A scale-free graph standing in for a SNAP social network."""
+    if attachment < 1:
+        raise TrafficError("attachment degree must be at least 1")
     if n_vertices <= attachment:
         raise TrafficError("graph needs more vertices than the attachment degree")
-    return nx.barabasi_albert_graph(n_vertices, attachment, seed=seed)
+    return SocialGraph(_barabasi_albert_adjacency(n_vertices, attachment, seed))
 
 
-def facebook_like_graph() -> nx.Graph:
+def facebook_like_graph() -> SocialGraph:
     """~4k vertices / ~88k edges, the scale of SNAP's ego-Facebook."""
     return synthetic_social_graph(*FACEBOOK_SCALE)
 
 
-def wikipedia_like_graph() -> nx.Graph:
+def wikipedia_like_graph() -> SocialGraph:
     """~7k vertices / ~100k edges, the scale of SNAP's wiki-Vote."""
     return synthetic_social_graph(*WIKIPEDIA_SCALE)
 
@@ -80,73 +147,84 @@ def wikipedia_like_graph() -> nx.Graph:
 # --- kernels with access counting ------------------------------------------
 
 
-def bfs_access_counts(graph: nx.Graph, source: int = 0) -> AccessCounts:
+def _check_source(graph: SocialGraph, source: int) -> None:
+    if not 0 <= source < graph.number_of_nodes():
+        raise TrafficError(f"source vertex {source} is not in the graph")
+
+
+def bfs_access_counts(graph: SocialGraph, source: int = 0) -> AccessCounts:
     """Run breadth-first search and count vertex-property accesses.
 
     Per Graphicionado's dataflow: each traversed edge reads the destination
     vertex property; each newly-visited vertex writes its depth; frontier
     management reads each frontier vertex once.
     """
-    visited = {source}
+    _check_source(graph, source)
+    adjacency = graph.adjacency
+    visited = bytearray(len(adjacency))
+    visited[source] = 1
     frontier = [source]
-    reads = writes = edges = 0
-    writes += 1  # source depth
+    reads = edges = 0
+    writes = 1  # source depth
     while frontier:
         next_frontier = []
         for u in frontier:
-            reads += 1  # frontier vertex record
-            for v in graph.neighbors(u):
-                edges += 1
-                reads += 1  # destination property check
-                if v not in visited:
-                    visited.add(v)
-                    writes += 1  # depth update
+            neighbours = adjacency[u]
+            reads += 1 + len(neighbours)  # frontier record + destination checks
+            edges += len(neighbours)
+            for v in neighbours:
+                if not visited[v]:
+                    visited[v] = 1
                     next_frontier.append(v)
+        writes += len(next_frontier)  # depth updates
         frontier = next_frontier
     return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
 
 
 def pagerank_access_counts(
-    graph: nx.Graph, iterations: int = 10, damping: float = 0.85
+    graph: SocialGraph, iterations: int = 10, damping: float = 0.85
 ) -> AccessCounts:
     """Run power-iteration PageRank and count vertex-property accesses."""
     if not 0.0 < damping < 1.0:
         raise TrafficError("damping must be in (0, 1)")
-    n = graph.number_of_nodes()
-    rank = {v: 1.0 / n for v in graph.nodes}
+    adjacency = graph.adjacency
+    n = len(adjacency)
+    degree = [max(1, len(neighbours)) for neighbours in adjacency]
+    rank = [1.0 / n] * n
     reads = writes = edges = 0
     for _ in range(iterations):
-        new_rank = {}
-        for v in graph.nodes:
+        new_rank = []
+        for neighbours in adjacency:
             acc = 0.0
-            for u in graph.neighbors(v):
-                edges += 1
-                reads += 1  # neighbor rank
-                degree = graph.degree(u)
-                acc += rank[u] / max(1, degree)
-            new_rank[v] = (1.0 - damping) / n + damping * acc
-            writes += 1  # rank update
+            for u in neighbours:
+                acc += rank[u] / degree[u]
+            new_rank.append((1.0 - damping) / n + damping * acc)
+            reads += len(neighbours)  # neighbour ranks
+            edges += len(neighbours)
+        writes += n  # rank updates
         rank = new_rank
     return AccessCounts(reads=reads, writes=writes, edges_traversed=edges)
 
 
-def sssp_access_counts(graph: nx.Graph, source: int = 0) -> AccessCounts:
+def sssp_access_counts(graph: SocialGraph, source: int = 0) -> AccessCounts:
     """Bellman-Ford-style SSSP (unit weights) with access counting."""
-    INF = float("inf")
-    dist = {v: INF for v in graph.nodes}
+    _check_source(graph, source)
+    adjacency = graph.adjacency
+    dist = [float("inf")] * len(adjacency)
     dist[source] = 0.0
-    reads = writes = edges = 0
-    writes += 1
+    reads = edges = 0
+    writes = 1
     active = {source}
     while active:
         next_active = set()
         for u in active:
-            reads += 1
-            for v in graph.neighbors(u):
-                edges += 1
-                reads += 1
-                if dist[u] + 1.0 < dist[v]:
-                    dist[v] = dist[u] + 1.0
+            neighbours = adjacency[u]
+            reads += 1 + len(neighbours)
+            edges += len(neighbours)
+            candidate = dist[u] + 1.0
+            for v in neighbours:
+                if candidate < dist[v]:
+                    dist[v] = candidate
                     writes += 1
                     next_active.add(v)
         active = next_active
@@ -182,12 +260,6 @@ def kernel_traffic(
     )
 
 
-@lru_cache(maxsize=1)
-def _networkx_version() -> str:
-    """The installed networkx version, read without importing networkx."""
-    return importlib.metadata.version("networkx")
-
-
 def _bfs_counts(
     scale: tuple[int, int],
     store: Optional[DerivedCache],
@@ -203,7 +275,6 @@ def _bfs_counts(
         "attachment": attachment,
         "seed": seed,
         "source": source,
-        "networkx": _networkx_version(),
     })
     counts = store.load(key)
     if counts is None:

@@ -9,7 +9,7 @@ a ~4 GHz 8-core part, per-benchmark LLC read MPKI of roughly 0.2-25 and
 write (dirty writeback) MPKI of roughly 0.05-12.
 
 ``repro.cachesim`` can regenerate a table of the same form from synthetic
-address streams (see DESIGN.md, "Substitutions"); the studies accept either
+address streams (see README.md, "Substitutions"); the studies accept either
 source because both are just lists of :class:`TrafficPattern`.
 """
 

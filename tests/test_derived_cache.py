@@ -112,21 +112,19 @@ def test_stored_proxy_is_bit_identical_to_the_trained_one(filled, monkeypatch):
 
 
 def test_warm_graph_studies_never_import_networkx(tmp_path):
+    # Neither the cold run that builds the graphs nor the warm run that
+    # reads their BFS counts back may load networkx.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     args = ["--only", "fig08_graph,fig14_writebuffer",
             "--cache-dir", str(tmp_path / "cache")]
-    subprocess.run(
-        [sys.executable, "-m", "repro.studies.summary", str(tmp_path / "cold"),
-         *args],
-        env=env, check=True, capture_output=True,
-    )
-    warm = textwrap.dedent(f"""
-        import sys
-        from repro.studies import summary
-        code = summary.main({[str(tmp_path / "warm"), *args, "--expect-warm"]!r})
-        assert code == 0, code
-        assert "networkx" not in sys.modules, "warm run imported networkx"
-    """)
-    result = subprocess.run([sys.executable, "-c", warm], env=env,
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    for out, extra in (("cold", []), ("warm", ["--expect-warm"])):
+        script = textwrap.dedent(f"""
+            import sys
+            from repro.studies import summary
+            code = summary.main({[str(tmp_path / out), *args, *extra]!r})
+            assert code == 0, code
+            assert "networkx" not in sys.modules, "{out} run imported networkx"
+        """)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

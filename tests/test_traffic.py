@@ -1,5 +1,6 @@
 """Traffic substrate tests: patterns, sweeps, DNN, graph, SPEC."""
 
+import dataclasses
 
 import pytest
 
@@ -26,6 +27,12 @@ from repro.traffic import (
     spec_traffic,
     sssp_access_counts,
     wikipedia_like_graph,
+)
+from repro.traffic.graph import (
+    FACEBOOK_SCALE,
+    WIKIPEDIA_SCALE,
+    AccessCounts,
+    synthetic_social_graph,
 )
 from repro.units import mb
 
@@ -190,6 +197,70 @@ class TestGraphTraffic:
         assert len(suite) == 6
         kinds = {p.name.split("-")[-1] for p in suite}
         assert kinds == {"bfs", "pagerank", "sssp"}
+
+    def test_cached_graph_is_immutable(self):
+        graph = facebook_like_graph()
+        assert graph is facebook_like_graph()
+        assert isinstance(graph.adjacency, tuple)
+        assert all(type(neighbours) is tuple for neighbours in graph.adjacency)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.adjacency = ()
+        with pytest.raises(TypeError):
+            graph.adjacency[0] = ()
+        with pytest.raises(AttributeError):
+            graph.neighbors(0).append(1)
+
+    def test_bad_graph_arguments_raise(self):
+        with pytest.raises(TrafficError):
+            synthetic_social_graph(10, 0)
+        with pytest.raises(TrafficError):
+            synthetic_social_graph(5, 5)
+        graph = synthetic_social_graph(20, 2)
+        for kernel in (bfs_access_counts, sssp_access_counts):
+            for source in (-1, 20):
+                with pytest.raises(TrafficError):
+                    kernel(graph, source)
+
+
+def _reference_bfs_counts(graph, source=0):
+    """The set-based BFS over any graph with a networkx-style interface."""
+    visited = {source}
+    frontier = [source]
+    reads, writes, edges = 0, 1, 0
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            reads += 1
+            for v in graph.neighbors(u):
+                edges += 1
+                reads += 1
+                if v not in visited:
+                    visited.add(v)
+                    writes += 1
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return AccessCounts(reads, writes, edges)
+
+
+@pytest.mark.parametrize("n_vertices,attachment,seed", [
+    (*FACEBOOK_SCALE, 7),
+    (*WIKIPEDIA_SCALE, 7),
+    (*FACEBOOK_SCALE, 123),
+    (30, 1, 7),
+    (2, 1, 0),
+    (10, 9, 5),
+    (50, 3, 0),
+    (200, 7, 123),
+])
+def test_generator_matches_networkx_draw_for_draw(n_vertices, attachment, seed):
+    nx = pytest.importorskip("networkx")
+    reference = nx.barabasi_albert_graph(n_vertices, attachment, seed=seed)
+    graph = synthetic_social_graph(n_vertices, attachment, seed)
+    assert list(graph.nodes) == list(reference.nodes)
+    for u in reference.nodes:
+        assert graph.neighbors(u) == tuple(reference.neighbors(u)), u
+    assert graph.number_of_edges() == reference.number_of_edges()
+    assert bfs_access_counts(graph) == _reference_bfs_counts(reference)
 
 
 class TestSpecTraffic:
