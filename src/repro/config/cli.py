@@ -60,16 +60,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
              "with stochastic components)",
     )
     parser.add_argument(
-        "--point-shard-index", type=int, metavar="I",
-        help="run the I-th slice of the sweep-point space (overrides "
-             "config runtime.point_shard_index)",
-    )
-    parser.add_argument(
-        "--point-shard-count", type=int, metavar="N",
-        help="split the sweep-point space into N deterministic slices by "
-             "content fingerprint (overrides config runtime.point_shard_count)",
-    )
-    parser.add_argument(
         "--chaos", metavar="SPEC",
         help="deterministic fault injection for resilience testing — "
              "comma-separated key=value pairs (seed, worker_error, "
@@ -78,7 +68,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--progress", action="store_true",
-        help="print one line per completed/cached/failed/skipped sweep point",
+        help="print one line per completed/cached/failed sweep point",
     )
 
 
@@ -173,8 +163,6 @@ def _run_study_command(argv: Sequence[str]) -> int:
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=_progress_callback(args.progress),
-            point_shard_index=args.point_shard_index,
-            point_shard_count=args.point_shard_count,
             chaos=_chaos_from(args),
         )
     except ReproError as exc:
@@ -197,36 +185,12 @@ def build_merge_shards_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvmexplorer merge-shards",
         description="Merge sharded suite outputs into one summary directory, "
-                    "verifying no study (or sweep point) was dropped or run "
-                    "twice.  Point-sharded studies are re-materialized whole "
-                    "from the shared caches.",
+                    "verifying no study was dropped or run twice.",
     )
     parser.add_argument("output_dir", help="directory for the merged artifacts")
     parser.add_argument(
         "shard_dirs", nargs="+", metavar="SHARD_DIR",
         help="output directories of the individual shard runs",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for re-materializing point-sharded studies",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="the shards' shared persistent cache root (required for a warm "
-             "re-materialization of point-sharded studies)",
-    )
-    parser.add_argument(
-        "--trace-cache-dir", default=None, metavar="PATH",
-        help="override the LLC-trace cache location (default: CACHE_DIR/traces)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="the seed the shards ran with (must match for re-materialization)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip"), default="skip",
-        help="abort re-materialization on the first framework error, or "
-             "record the study as failed and keep merging",
     )
     return parser
 
@@ -234,22 +198,11 @@ def build_merge_shards_parser() -> argparse.ArgumentParser:
 def _merge_shards_command(argv: Sequence[str]) -> int:
     args = build_merge_shards_parser().parse_args(argv)
     # Imported lazily, like the other study-stack commands.
-    from repro.runtime.options import RuntimeOptions
     from repro.studies.summary import _report_manifest, merge_shards
 
     try:
-        merged = merge_shards(
-            args.shard_dirs,
-            args.output_dir,
-            runtime=RuntimeOptions(
-                workers=args.workers,
-                cache_dir=args.cache_dir,
-                trace_cache_dir=args.trace_cache_dir,
-                seed=args.seed,
-                on_error=args.on_error,
-            ),
-        )
-    except (ReproError, ValueError) as exc:
+        merged = merge_shards(args.shard_dirs, args.output_dir)
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _report_manifest(merged, args.output_dir)
@@ -382,8 +335,6 @@ def _run_suite(raw, args) -> int:
         trace_cache_dir=args.trace_cache_dir,
         seed=args.seed,
         progress=_progress_callback(args.progress),
-        point_shard_index=args.point_shard_index,
-        point_shard_count=args.point_shard_count,
         chaos=_chaos_from(args),
     )
     if run.interrupted:
@@ -433,8 +384,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             trace_cache_dir=args.trace_cache_dir,
             seed=args.seed,
             progress=progress,
-            point_shard_index=args.point_shard_index,
-            point_shard_count=args.point_shard_count,
             chaos=_chaos_from(args),
         )
     except ReproError as exc:

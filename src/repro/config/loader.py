@@ -112,8 +112,6 @@ def _override_runtime(
     trace_cache_dir: Optional[str],
     seed: Optional[int],
     progress,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
 ):
@@ -127,10 +125,6 @@ def _override_runtime(
         updates["trace_cache_dir"] = trace_cache_dir
     if seed is not None:
         updates["seed"] = seed
-    if point_shard_index is not None:
-        updates["point_shard_index"] = point_shard_index
-    if point_shard_count is not None:
-        updates["point_shard_count"] = point_shard_count
     if retry is not None:
         updates["retry"] = retry
     if chaos is not None:
@@ -161,16 +155,13 @@ def run_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
 ) -> ResultTable:
     """Execute a sweep configuration end to end.
 
-    ``workers``/``cache_dir``/``trace_cache_dir``/``seed``/
-    ``point_shard_index``/``point_shard_count``/``retry``/``chaos``
-    override the config's ``runtime`` section (e.g. from CLI flags);
+    ``workers``/``cache_dir``/``trace_cache_dir``/``seed``/``retry``/
+    ``chaos`` override the config's ``runtime`` section (e.g. from CLI flags);
     ``progress`` receives one
     :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
     """
@@ -187,7 +178,7 @@ def run_config(
     )
     runtime = _override_runtime(
         config.runtime_options(), workers, cache_dir, trace_cache_dir, seed,
-        progress, point_shard_index, point_shard_count, retry, chaos,
+        progress, retry, chaos,
     )
     table = DSEEngine.from_options(runtime).run(spec)
     _write_csv(table, config.output_csv)
@@ -201,8 +192,6 @@ def run_study_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
 ) -> ResultTable:
@@ -210,8 +199,6 @@ def run_study_config(
 
     Overrides work exactly like :func:`run_config`.  Writes the CSV and
     markdown report the config asks for and returns the study's table.
-    Under an active point shard the table (and artifacts) hold only this
-    shard's slice of the study's sweep points.
     """
     config = load_study_config(source)
     # Imported lazily to keep sweep-only usage free of the studies stack.
@@ -221,7 +208,7 @@ def run_study_config(
     spec = get_study(config.study)
     runtime = _override_runtime(
         config.runtime, workers, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, retry, chaos,
+        retry, chaos,
     )
     # Validate params against the builder's signature up front, so a
     # TypeError raised deep inside a study is never misreported as a
@@ -257,8 +244,6 @@ def run_suite_config(
     trace_cache_dir: Optional[str] = None,
     seed: Optional[int] = None,
     progress=None,
-    point_shard_index: Optional[int] = None,
-    point_shard_count: Optional[int] = None,
     retry=None,
     chaos=None,
 ):
@@ -269,20 +254,15 @@ def run_suite_config(
     config's runtime options, writes CSVs, reports, and the shard
     manifest under ``suite.output_dir``, and returns the
     :class:`~repro.studies.summary.SummaryRun`.  Overrides work exactly
-    like :func:`run_config`; the suite section's point-shard keys beat
-    the runtime section's, and explicit overrides beat both.
+    like :func:`run_config`.
     """
     config = load_suite_config(source)
     # Imported lazily to keep sweep-only usage free of the studies stack.
     from repro.studies.summary import run_all
 
-    if point_shard_index is None:
-        point_shard_index = config.point_shard_index
-    if point_shard_count is None:
-        point_shard_count = config.point_shard_count
     runtime = _override_runtime(
         config.runtime, workers, cache_dir, trace_cache_dir, seed, progress,
-        point_shard_index, point_shard_count, retry, chaos,
+        retry, chaos,
     )
     return run_all(
         config.output_dir,

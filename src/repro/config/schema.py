@@ -29,8 +29,6 @@ A config describes one design sweep::
         "trace_cache_dir": null,
         "on_error": "raise" | "skip",
         "seed": null,
-        "point_shard_index": 0,
-        "point_shard_count": 1,
         "retry": { "max_attempts": 3, "backoff_s": 0.05,
                    "deadline_s": null },          // optional
         "chaos": { "seed": 0, "worker_kill": 0.1 }  // optional, testing only
@@ -43,10 +41,9 @@ The optional ``runtime`` section controls sweep execution (see
 (characterizations, evaluation blocks, and LLC traces live under it),
 an optional trace-cache override, whether a failing design point aborts
 the sweep or is skipped with telemetry, a seed override for stochastic
-components, and intra-study point sharding (run only the deterministic
-1/``point_shard_count`` slice of every sweep's fingerprinted point
-space).  Any other ``runtime`` key is rejected with a
-:class:`~repro.errors.ConfigError` naming it.
+components, the transient-failure retry policy, and (for testing only)
+deterministic fault injection.  Any other ``runtime`` key is rejected
+with a :class:`~repro.errors.ConfigError` naming it.
 
 A second config shape describes one *registered study* instead of a raw
 sweep (the ``config/studies/*.json`` stubs)::
@@ -69,12 +66,15 @@ incremental) pass over the study registry, the config-file form of
         "output_dir": "output",
         "shard_index": 0,
         "shard_count": 3,
-        "point_shard_index": 0,      // optional intra-study sharding
-        "point_shard_count": 1,
         "incremental": true
       },
       "runtime": { "workers": 4, "cache_dir": ".nvmcache" }
     }
+
+The suite section accepts exactly the keys shown (``only``,
+``output_dir``, ``shard_index``, ``shard_count``, ``incremental``); any
+other key is rejected with a :class:`~repro.errors.ConfigError` naming
+it, as for ``runtime``.
 
 :func:`parse_config` validates a sweep dict into a :class:`ParsedConfig`,
 :func:`parse_study_config` a study dict into a :class:`StudyConfig`, and
@@ -125,8 +125,6 @@ class ParsedConfig:
     trace_cache_dir: Optional[str] = None
     on_error: str = "raise"
     seed: Optional[int] = None
-    point_shard_index: int = 0
-    point_shard_count: int = 1
 
     def runtime_options(self, progress=None) -> RuntimeOptions:
         """The sweep's runtime section as shared :class:`RuntimeOptions`."""
@@ -137,8 +135,6 @@ class ParsedConfig:
             on_error=self.on_error,
             progress=progress,
             seed=self.seed,
-            point_shard_index=self.point_shard_index,
-            point_shard_count=self.point_shard_count,
         )
 
 
@@ -155,11 +151,7 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """A validated suite-run configuration (sharded/incremental summary).
-
-    ``point_shard_index`` / ``point_shard_count`` are ``None`` when the
-    suite section leaves intra-study sharding to the runtime section.
-    """
+    """A validated suite-run configuration (sharded/incremental summary)."""
 
     only: Optional[Sequence[str]]
     output_dir: str
@@ -167,8 +159,6 @@ class SuiteConfig:
     shard_count: int
     incremental: bool
     runtime: RuntimeOptions
-    point_shard_index: Optional[int] = None
-    point_shard_count: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -324,36 +314,32 @@ def parse_config(raw: Mapping[str, Any]) -> ParsedConfig:
         trace_cache_dir=runtime.trace_cache_dir,
         on_error=runtime.on_error,
         seed=runtime.seed,
-        point_shard_index=runtime.point_shard_index,
-        point_shard_count=runtime.point_shard_count,
     )
-
-
-def _validate_point_shard(index: int, count: int, context: str) -> None:
-    if count < 1:
-        raise ConfigError(f"{context}.point_shard_count must be >= 1")
-    if not 0 <= index < count:
-        raise ConfigError(
-            f"{context}.point_shard_index must be in [0, {count}), got {index}"
-        )
 
 
 #: Keys a ``runtime`` section may carry; anything else is rejected.
 _RUNTIME_KEYS = frozenset({
     "workers", "cache_dir", "trace_cache_dir", "on_error", "seed",
-    "point_shard_index", "point_shard_count", "retry", "chaos",
+    "retry", "chaos",
 })
+
+
+def _reject_unknown_keys(
+    section: Mapping[str, Any], known: frozenset, context: str
+) -> None:
+    """A typo or a removed option fails loudly, naming the key."""
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown {context} key(s) {unknown}; known keys: {sorted(known)}"
+        )
 
 
 def _parse_runtime(section: Any) -> RuntimeOptions:
     """Validate a ``runtime`` section into :class:`RuntimeOptions`."""
     if not isinstance(section, Mapping):
         raise ConfigError("runtime section must be an object")
-    unknown = sorted(set(section) - _RUNTIME_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"unknown runtime key(s) {unknown}; known keys: {sorted(_RUNTIME_KEYS)}"
-        )
+    _reject_unknown_keys(section, _RUNTIME_KEYS, "runtime")
     workers = int(section.get("workers", 1))
     if workers < 1:
         raise ConfigError("runtime.workers must be >= 1")
@@ -363,9 +349,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
     cache_dir = section.get("cache_dir")
     trace_cache_dir = section.get("trace_cache_dir")
     seed = section.get("seed")
-    point_shard_index = int(section.get("point_shard_index", 0))
-    point_shard_count = int(section.get("point_shard_count", 1))
-    _validate_point_shard(point_shard_index, point_shard_count, "runtime")
     retry_section = section.get("retry")
     retry = None
     if retry_section is not None:
@@ -380,8 +363,6 @@ def _parse_runtime(section: Any) -> RuntimeOptions:
         trace_cache_dir=None if trace_cache_dir is None else str(trace_cache_dir),
         on_error=on_error,
         seed=None if seed is None else int(seed),
-        point_shard_index=point_shard_index,
-        point_shard_count=point_shard_count,
         retry=retry,
         chaos=chaos,
     )
@@ -456,6 +437,12 @@ def parse_service_config(raw: Mapping[str, Any]) -> ServiceConfig:
     )
 
 
+#: Keys a ``suite`` section may carry; anything else is rejected.
+_SUITE_KEYS = frozenset({
+    "only", "output_dir", "shard_index", "shard_count", "incremental",
+})
+
+
 def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
     """Validate a raw suite-run config dict."""
     if not isinstance(raw, Mapping):
@@ -463,6 +450,7 @@ def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
     section = _require(raw, "suite", "config")
     if not isinstance(section, Mapping):
         raise ConfigError("suite section must be an object")
+    _reject_unknown_keys(section, _SUITE_KEYS, "suite")
     only = section.get("only")
     if only is not None:
         if not isinstance(only, Sequence) or isinstance(only, str):
@@ -486,14 +474,6 @@ def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
         raise ConfigError(
             f"suite.shard_index must be in [0, {shard_count}), got {shard_index}"
         )
-    point_shard_index = section.get("point_shard_index")
-    point_shard_count = section.get("point_shard_count")
-    if point_shard_index is not None or point_shard_count is not None:
-        point_shard_index = int(point_shard_index or 0)
-        point_shard_count = int(
-            point_shard_count if point_shard_count is not None else 1
-        )
-        _validate_point_shard(point_shard_index, point_shard_count, "suite")
     return SuiteConfig(
         only=only,
         output_dir=str(section.get("output_dir", "output")),
@@ -501,8 +481,6 @@ def parse_suite_config(raw: Mapping[str, Any]) -> SuiteConfig:
         shard_count=shard_count,
         incremental=bool(section.get("incremental", True)),
         runtime=_parse_runtime(raw.get("runtime", {})),
-        point_shard_index=point_shard_index,
-        point_shard_count=point_shard_count,
     )
 
 

@@ -44,19 +44,13 @@ from repro.runtime.options import (
     EVALUATION_CACHE_SUBDIR,
     RuntimeOptions,
 )
-from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import SweepTelemetry
 from repro.traffic.base import TrafficPattern
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One design sweep: the cross product the engine evaluates.
-
-    ``point_shard`` optionally restricts this sweep to one deterministic
-    slice of its fingerprinted point space (intra-study sharding across
-    hosts); it overrides the engine's own selector for this sweep.
-    """
+    """One design sweep: the cross product the engine evaluates."""
 
     cells: Sequence[CellTechnology]
     capacities_bytes: Sequence[int]
@@ -68,7 +62,6 @@ class SweepSpec:
     )
     access_bits: int = 64
     bits_per_cell: int = 1
-    point_shard: Optional[PointShard] = None
 
     def __post_init__(self) -> None:
         if not self.cells:
@@ -97,12 +90,6 @@ class DSEEngine:
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per sweep point.
-    point_shard:
-        Optional :class:`~repro.runtime.shard.PointShard` restricting
-        every sweep to this host's deterministic slice of the
-        fingerprinted point space; points owned by other shards are
-        reported as ``skipped`` telemetry and produce no rows.  A
-        sweep's own ``SweepSpec.point_shard`` takes precedence.
     """
 
     def __init__(
@@ -111,7 +98,6 @@ class DSEEngine:
         cache_dir: Optional[Union[str, Path]] = None,
         on_error: str = "raise",
         progress=None,
-        point_shard: Optional[PointShard] = None,
         retry: Optional[RetryPolicy] = None,
         chaos: Optional[ChaosOptions] = None,
     ) -> None:
@@ -122,7 +108,6 @@ class DSEEngine:
         self.workers = max(1, int(workers))
         self.on_error = on_error
         self.progress = progress
-        self.point_shard = point_shard
         self.retry = retry
         self.chaos = chaos
         self.cache: Optional[CharacterizationCache] = None
@@ -149,7 +134,6 @@ class DSEEngine:
             cache_dir=options.cache_dir,
             on_error=options.on_error,
             progress=options.progress,
-            point_shard=options.point_shard,
             retry=options.retry,
             chaos=options.chaos,
         )
@@ -225,10 +209,6 @@ class DSEEngine:
     def _characterized(
         self, spec: SweepSpec, telemetry: SweepTelemetry
     ) -> list[ArrayCharacterization]:
-        # Sharding applies once, at the characterization level: the
-        # arrays that survive *are* this shard's slice, so downstream
-        # evaluation must run them all (re-partitioning by evaluation
-        # fingerprint would drop this shard's own work).
         results = characterize_points(
             sweep_points(spec),
             workers=self.workers,
@@ -236,10 +216,6 @@ class DSEEngine:
             memory=self._array_cache,
             on_error=self.on_error,
             telemetry=telemetry,
-            point_shard=(
-                spec.point_shard if spec.point_shard is not None
-                else self.point_shard
-            ),
             retry=self.retry,
             chaos=self.chaos,
         )
@@ -248,9 +224,8 @@ class DSEEngine:
     def arrays(self, spec: SweepSpec) -> list[ArrayCharacterization]:
         """Characterize every (cell, capacity, target) of the sweep.
 
-        Points that fail under ``on_error="skip"`` — or that belong to
-        another point shard — are omitted (see ``last_telemetry`` for
-        what was dropped or skipped).
+        Points that fail under ``on_error="skip"`` are omitted (see
+        ``last_telemetry`` for what was dropped).
         """
         telemetry = SweepTelemetry(self.progress)
         self.last_telemetry = telemetry
@@ -261,9 +236,7 @@ class DSEEngine:
 
         Without traffic the table holds array characterizations; with
         traffic it holds one row per (array, traffic) evaluation.  Row
-        order is deterministic and independent of ``workers``; under a
-        point-shard selector the table holds exactly this shard's rows,
-        in the same relative order as the single-host run.
+        order is deterministic and independent of ``workers``.
         """
         telemetry = SweepTelemetry(self.progress)
         self.last_telemetry = telemetry

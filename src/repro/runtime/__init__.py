@@ -17,8 +17,8 @@ exploration; this package is the execution layer that delivers it:
 ProcessPoolExecutor`, with deterministic result ordering and a serial
   fallback for ``workers=1``.
 * :mod:`repro.runtime.shard` — deterministic shard planning (split the
-  study suite, or one study's fingerprinted point space, across hosts
-  with no coordinator), per-shard run manifests, manifest merging with
+  study suite across hosts with no coordinator), per-shard run
+  manifests, manifest merging with
   dropped/duplicate detection, and the content fingerprints behind the
   incremental summary.
 * :mod:`repro.runtime.options` — :class:`RuntimeOptions`, the shared
@@ -82,16 +82,11 @@ from repro.runtime.resilience import (
 )
 from repro.runtime.shard import (
     ManifestEntry,
-    PointShard,
     RunManifest,
     ShardError,
     ShardPlan,
-    assign_fingerprint,
     merge_manifests,
-    partition_fingerprints,
     plan_shard,
-    point_set_digest,
-    point_shard_section,
     schema_tags,
     shard_assignments,
     study_fingerprint,
@@ -112,7 +107,6 @@ __all__ = [
     "JsonObjectCache",
     "LLCTraceCache",
     "ManifestEntry",
-    "PointShard",
     "ProgressEvent",
     "RetryPolicy",
     "RunManifest",
@@ -123,7 +117,6 @@ __all__ = [
     "SweepTelemetry",
     "TaskOutcome",
     "TelemetryBridge",
-    "assign_fingerprint",
     "canonical_json",
     "characterize_points",
     "classify_error",
@@ -138,12 +131,9 @@ __all__ = [
     "fingerprint_payload",
     "merge_manifests",
     "parse_chaos_spec",
-    "partition_fingerprints",
     "plan_shard",
     "point_fingerprint",
     "point_payload",
-    "point_set_digest",
-    "point_shard_section",
     "run_resilient",
     "schema_tags",
     "shard_assignments",

@@ -48,7 +48,6 @@ from repro.runtime.fingerprint import (
     point_fingerprint,
 )
 from repro.runtime.resilience import RetryPolicy, run_resilient
-from repro.runtime.shard import PointShard
 from repro.runtime.telemetry import (
     CACHED,
     COMPLETED,
@@ -56,7 +55,6 @@ from repro.runtime.telemetry import (
     FAILED,
     POISONED,
     RETRIED,
-    SKIPPED,
     ProgressEvent,
     SweepTelemetry,
 )
@@ -223,7 +221,6 @@ def characterize_points(
     on_error: str = "raise",
     telemetry: Optional[SweepTelemetry] = None,
     chunksize: Optional[int] = None,
-    point_shard: Optional[PointShard] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
 ) -> List[Optional[ArrayCharacterization]]:
@@ -233,14 +230,6 @@ def characterize_points(
     point that failed under ``on_error="skip"``.  Lookup order is the
     in-process ``memory`` dict, then the on-disk ``cache``; fresh results
     are written back to both.  Duplicate points are characterized once.
-
-    An active ``point_shard`` restricts the work to this host's
-    deterministic slice of the point space: a point whose content
-    fingerprint lands on another shard is returned as ``None`` without
-    touching any cache, and is reported through telemetry as a
-    ``skipped`` event carrying the fingerprint — the accounting behind
-    the run manifest's point-shard section and the merge step's
-    exactly-once verification.
 
     ``retry`` (default :class:`~repro.runtime.resilience.RetryPolicy`)
     governs transient-failure handling: worker crashes, deadline
@@ -257,29 +246,13 @@ def characterize_points(
     total = len(points)
     results: List[Optional[ArrayCharacterization]] = [None] * total
     fingerprints: List[str] = [point.fingerprint() for point in points]
-    selector = (
-        point_shard
-        if point_shard is not None and not point_shard.is_whole_space
-        else None
-    )
-
-    def _event_fp(fp: str) -> str:
-        # Fingerprints ride on events only under point sharding, where
-        # downstream consumers need them for partition accounting.
-        return fp if selector is not None else ""
-
     pending_by_fp: dict[str, List[int]] = {}
     for index, point in enumerate(points):
         fp = fingerprints[index]
-        if selector is not None and not selector.selects(fp):
-            telemetry.emit(ProgressEvent(
-                SKIPPED, point.label, index, total, fingerprint=fp))
-            continue
         if fp in memory:
             results[index] = memory[fp]
             telemetry.emit(ProgressEvent(
-                CACHED, point.label, index, total, source="memory",
-                fingerprint=_event_fp(fp)))
+                CACHED, point.label, index, total, source="memory"))
             continue
         if fp in pending_by_fp:
             pending_by_fp[fp].append(index)
@@ -290,14 +263,12 @@ def characterize_points(
             # The loader quarantined a damaged entry; the point is
             # recomputed below, this event only makes the damage visible.
             telemetry.emit(ProgressEvent(
-                CORRUPT, point.label, index, total, source="disk",
-                fingerprint=_event_fp(fp)))
+                CORRUPT, point.label, index, total, source="disk"))
         if array is not None:
             memory[fp] = array
             results[index] = array
             telemetry.emit(ProgressEvent(
-                CACHED, point.label, index, total, source="disk",
-                fingerprint=_event_fp(fp)))
+                CACHED, point.label, index, total, source="disk"))
             continue
         pending_by_fp[fp] = [index]
 
@@ -315,7 +286,6 @@ def characterize_points(
             telemetry.emit(ProgressEvent(
                 kind, points[index].label, index, total,
                 source=source if nth == 0 else "memory",
-                fingerprint=_event_fp(fp),
                 duration_s=duration_s if nth == 0 else 0.0))
 
     def _record_failure(
@@ -325,7 +295,6 @@ def characterize_points(
         for nth, index in enumerate(pending_by_fp[fp]):
             telemetry.emit(ProgressEvent(
                 FAILED, points[index].label, index, total, error=message,
-                fingerprint=_event_fp(fp),
                 duration_s=duration_s if nth == 0 else 0.0))
         if on_error == "raise":
             raise CharacterizationError(
@@ -338,7 +307,6 @@ def characterize_points(
         for nth, index in enumerate(pending_by_fp[fp]):
             telemetry.emit(ProgressEvent(
                 POISONED, points[index].label, index, total, error=message,
-                fingerprint=_event_fp(fp),
                 duration_s=duration_s if nth == 0 else 0.0))
         if on_error == "raise":
             raise PoisonedPointError(
@@ -395,7 +363,7 @@ def characterize_points(
         first_index = pending_by_fp[fp][0]
         telemetry.emit(ProgressEvent(
             RETRIED, points[first_index].label, first_index, total,
-            error=error, fingerprint=_event_fp(fp)))
+            error=error))
 
     # Batch fast path: pending points sharing (cell, node, access width,
     # bits/cell) characterize as ONE array program instead of N scalar
@@ -478,7 +446,6 @@ def evaluate_blocks(
     memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry] = None,
     chunksize: Optional[int] = None,
-    point_shard: Optional[PointShard] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
 ) -> List[Optional[List[dict]]]:
@@ -495,13 +462,6 @@ def evaluate_blocks(
     with ``dict(row)``, rows with nested values are deep-copied), so
     callers may annotate them — including nested values — without
     corrupting the in-memory memo or the persisted cache entries.
-
-    An active ``point_shard`` restricts the work to this host's slice of
-    the (array x traffic-block) space by evaluation fingerprint: blocks
-    owned by another shard come back as ``None`` (reported as
-    ``skipped`` evaluate-phase telemetry).  Sweeps sharded at the
-    characterization level should *not* shard evaluation again — the
-    surviving arrays already are this shard's slice.
     """
     if rows_fn is None:
         # Imported lazily: repro.core builds on this module, so a
@@ -512,24 +472,16 @@ def evaluate_blocks(
     traffic = tuple(traffic)
     telemetry = telemetry if telemetry is not None else SweepTelemetry()
     memory = memory if memory is not None else {}
-    selector = (
-        point_shard
-        if point_shard is not None and not point_shard.is_whole_space
-        else None
-    )
     fn_id = rows_fn_id(rows_fn)
     total = len(arrays)
     results: List[Optional[List[dict]]] = [None] * total
 
     def _emit(
-        kind: str, index: int, source: str = "", fp: str = "",
-        duration_s: float = 0.0,
+        kind: str, index: int, source: str = "", duration_s: float = 0.0
     ) -> None:
         telemetry.emit(ProgressEvent(
             kind, arrays[index].label, index, total,
-            phase="evaluate", source=source,
-            fingerprint=fp if selector is not None else "",
-            duration_s=duration_s,
+            phase="evaluate", source=source, duration_s=duration_s,
         ))
 
     context = evaluation_context(traffic, rows_fn_id=fn_id, extra=extra)
@@ -538,12 +490,9 @@ def evaluate_blocks(
     for index, array in enumerate(arrays):
         fp = evaluation_fingerprint(array, context=context)
         fingerprints.append(fp)
-        if selector is not None and not selector.selects(fp):
-            _emit(SKIPPED, index, fp=fp)
-            continue
         if fp in memory:
             results[index] = memory[fp]
-            _emit(CACHED, index, source="memory", fp=fp)
+            _emit(CACHED, index, source="memory")
             continue
         if fp in pending_by_fp:
             pending_by_fp[fp].append(index)
@@ -551,11 +500,11 @@ def evaluate_blocks(
         corrupt_before = cache.corrupt if cache is not None else 0
         rows = cache.load(fp) if cache is not None else None
         if cache is not None and cache.corrupt > corrupt_before:
-            _emit(CORRUPT, index, source="disk", fp=fp)
+            _emit(CORRUPT, index, source="disk")
         if rows is not None:
             memory[fp] = rows
             results[index] = rows
-            _emit(CACHED, index, source="disk", fp=fp)
+            _emit(CACHED, index, source="disk")
             continue
         pending_by_fp[fp] = [index]
 
@@ -567,7 +516,7 @@ def evaluate_blocks(
         for nth, index in enumerate(pending_by_fp[fp]):
             results[index] = rows
             _emit(COMPLETED if nth == 0 else CACHED, index,
-                  source="" if nth == 0 else "memory", fp=fp,
+                  source="" if nth == 0 else "memory",
                   duration_s=duration_s if nth == 0 else 0.0)
 
     def _on_outcome(outcome) -> None:
@@ -583,15 +532,14 @@ def evaluate_blocks(
             # Transient infrastructure faults exhausted the retry budget:
             # quarantine the block and complete the sweep around it.
             for nth, index in enumerate(pending_by_fp[outcome.key]):
-                _emit(POISONED, index, fp=outcome.key,
+                _emit(POISONED, index,
                       duration_s=outcome.duration_s if nth == 0 else 0.0)
 
     def _on_retry(key: str, attempt: int, error: str) -> None:
         first_index = pending_by_fp[key][0]
         telemetry.emit(ProgressEvent(
             RETRIED, arrays[first_index].label, first_index, total,
-            phase="evaluate", error=error,
-            fingerprint=key if selector is not None else ""))
+            phase="evaluate", error=error))
 
     tasks = [(fp, arrays[indices[0]]) for fp, indices in pending_by_fp.items()]
     if tasks:

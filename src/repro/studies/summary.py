@@ -14,30 +14,21 @@ pins every stochastic component.  A warm second run against the same
 cache directory performs zero characterizations and zero evaluation
 blocks; ``--expect-warm`` turns that into an exit-code assertion for CI.
 
-Four suite-scale features build on :mod:`repro.runtime.shard`:
+Three suite-scale features build on :mod:`repro.runtime.shard`:
 
 * **Sharding** — ``--shard-index I --shard-count N`` runs a
   deterministic 1/N slice of the suite, so N hosts (or CI matrix jobs)
   split the work with no coordination.  Every run writes a
   ``manifest.json`` next to its outputs recording what ran, its status,
   telemetry, artifact paths, and cache schema tags.
-* **Point sharding** — ``--point-shard-index I --point-shard-count N``
-  splits every study's *sweep-point space* across hosts by content
-  fingerprint, so one giant study no longer pins a whole shard.  Each
-  host produces a partial table; the manifest records the planned /
-  selected / completed point accounting the merge verifies.  Point
-  shards should share one ``--cache-dir`` (or have their caches
-  combined) so the merge can re-materialize full tables from cache.
 * **Merging** — ``--merge DIR [DIR ...]`` combines shard output
-  directories into the single summary table and artifact set, failing
-  if any study — or any sweep point of a point-sharded study — was
-  dropped or run twice.  Point-sharded studies are re-materialized
-  whole from the shared caches (pass the same ``--cache-dir`` and
-  ``--seed`` the shards used), yielding CSVs byte-identical to a
+  directories into the single summary table and artifact set by
+  copying each shard's CSVs and reports, failing if any study was
+  dropped or run twice.  The merged CSVs are byte-identical to a
   single-host run.
 * **Incremental runs** — a study whose manifest entry matches the
   current content fingerprint (parameters x schema tags x source
-  digest x point shard) and whose artifacts still exist is skipped with
+  digest) and whose artifacts still exist is skipped with
   a ``cached`` status instead of re-run; ``--force`` disables the skip.
 
 Exit codes: ``0`` success, ``1`` study failures (or a violated
@@ -70,12 +61,10 @@ from repro.runtime.shard import (
     STATUS_OK,
     ManifestEntry,
     RunManifest,
-    ShardError,
     ShardPlan,
     collect_artifacts,
     merge_manifests,
     plan_shard,
-    point_shard_section,
     schema_tags,
     study_fingerprint,
 )
@@ -224,12 +213,6 @@ def run_all(
     skipped with a ``cached`` outcome instead of re-run.  The manifest
     (:class:`~repro.runtime.shard.RunManifest`) is rewritten next to
     the outputs after every run.
-
-    An active point shard (``runtime.point_shard_count > 1``) restricts
-    every study to its deterministic slice of the sweep-point space;
-    each manifest entry then carries a point-shard section (planned /
-    selected / completed point fingerprints) that :func:`merge_shards`
-    verifies and re-materializes from.
     """
     runtime = ensure_runtime(runtime)
     registry = _select(only, STUDIES)
@@ -268,8 +251,6 @@ def run_all(
         entries=tuple(entries),
         tags=schema_tags(),
         retained=retained,
-        point_shard_index=runtime.point_shard_index,
-        point_shard_count=runtime.point_shard_count,
     )
     run.manifest.write(out)
     return run
@@ -290,12 +271,9 @@ def _run_selected(
     leaves them consistent: every appended entry describes a study whose
     artifacts are fully on disk.
     """
-    point_shard = runtime.point_shard
     for name in plan.selected:
         spec = registry[name]
-        fingerprint = study_fingerprint(
-            spec, seed=runtime.seed, point_shard=point_shard
-        )
+        fingerprint = study_fingerprint(spec, seed=runtime.seed)
         prior = _reusable_entry(reusable, name, fingerprint, out)
         if prior is not None:
             outcome = StudyOutcome(
@@ -313,16 +291,6 @@ def _run_selected(
         else:
             outcome = spec.run(runtime)
             artifacts = _write_artifacts(outcome, spec, out)
-            section = {}
-            if point_shard is not None:
-                telemetry = outcome.telemetry
-                section = point_shard_section(
-                    point_shard,
-                    telemetry.planned_points,
-                    telemetry.selected_points,
-                    telemetry.completed_points,
-                    poisoned=telemetry.poisoned_points,
-                )
             entry = ManifestEntry(
                 name=name,
                 status=STATUS_OK if outcome.ok else STATUS_FAILED,
@@ -332,7 +300,6 @@ def _run_selected(
                 error=outcome.error or "",
                 artifacts=artifacts,
                 telemetry=outcome.telemetry.counters(),
-                point_shard=section,
             )
             if outcome.ok and outcome.poisoned:
                 status = f"ok ({outcome.poisoned} poisoned)"
@@ -344,120 +311,29 @@ def _run_selected(
               f"{outcome.elapsed_s:6.2f}s  {status}")
 
 
-def _verify_point_shard_fingerprints(
-    name: str,
-    spec,
-    manifests: Sequence[RunManifest],
-    runtime: RuntimeOptions,
-) -> None:
-    """Check the shards ran the same study the merge will re-materialize.
-
-    Every shard entry's fingerprint must equal the current
-    :func:`~repro.runtime.shard.study_fingerprint` for its point-shard
-    slice — same parameters, seed, schema tags, and source revision — or
-    the re-materialized table would not reproduce the rows the shards
-    computed (and cached).
-    """
-    for manifest in manifests:
-        entry = manifest.entry_for(name)
-        if entry is None:
-            continue
-        expected = study_fingerprint(
-            spec, seed=runtime.seed, point_shard=manifest.point_shard
-        )
-        if entry.fingerprint != expected:
-            raise ShardError(
-                f"study {name!r}: shard {manifest.shard_index}"
-                f"/{manifest.point_shard_index} was run against different "
-                "parameters, seed, or source revision than this merge "
-                "(pass the shards' --seed and run the merge from the same "
-                "checkout)"
-            )
-
-
-def _rematerialize_study(
-    name: str, spec, runtime: RuntimeOptions, out: Path
-) -> ManifestEntry:
-    """Re-run one point-sharded study whole and write its artifacts.
-
-    With the shards' caches shared (or combined) under
-    ``runtime.cache_dir`` every characterization and evaluation block is
-    already stored, so this reassembles the full
-    :class:`~repro.results.ResultTable` from cached row blocks — zero
-    fresh model work — and produces CSVs byte-identical to a single-host
-    run.
-    """
-    whole = replace(runtime, point_shard_index=0, point_shard_count=1)
-    outcome = spec.run(whole)
-    artifacts = _write_artifacts(outcome, spec, out)
-    return ManifestEntry(
-        name=name,
-        status=STATUS_OK if outcome.ok else STATUS_FAILED,
-        fingerprint=study_fingerprint(spec, seed=whole.seed),
-        rows=outcome.rows,
-        elapsed_s=outcome.elapsed_s,
-        error=outcome.error or "",
-        artifacts=artifacts,
-        telemetry=outcome.telemetry.counters(),
-    )
-
-
 def merge_shards(
     shard_dirs: Sequence[Union[str, Path]],
     output_dir: Union[str, Path],
-    runtime: Optional[RuntimeOptions] = None,
 ) -> RunManifest:
     """Combine shard output directories into one summary directory.
 
     Loads every shard's ``manifest.json``, verifies the shards form one
     complete, non-overlapping partition of the suite
-    (:func:`~repro.runtime.shard.merge_manifests` — under point sharding
-    this includes every sweep point landing on exactly one shard),
-    copies each shard's artifacts (CSVs + reports) under ``output_dir``,
-    and writes the merged manifest there.
-
-    Point-sharded studies have only *partial* per-shard CSVs, so instead
-    of copying they are re-materialized whole via the registry under
-    ``runtime`` — pass the same ``cache_dir`` (and ``seed``) the shards
-    used and the full table is served entirely from the shared
-    evaluation cache, byte-identical to a single-host run.
+    (:func:`~repro.runtime.shard.merge_manifests`), copies each shard's
+    artifacts (CSVs + reports) under ``output_dir``, and writes the
+    merged manifest there.
 
     Returns the merged manifest; raises
     :class:`~repro.runtime.shard.ShardError` on any dropped, duplicated,
-    or inconsistent study or sweep point.
+    or inconsistent study.
     """
-    runtime = ensure_runtime(runtime)
     manifests = [RunManifest.load(d) for d in shard_dirs]
     merged = merge_manifests(manifests)
-    point_sharded: set[str] = set()
-    for manifest in manifests:
-        if manifest.point_shard_count > 1:
-            point_sharded.update(entry.name for entry in manifest.entries)
     out = Path(output_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     for manifest, shard_dir in zip(manifests, shard_dirs):
-        collect_artifacts(manifest, shard_dir, out, skip=point_sharded)
-    if point_sharded:
-        rebuilt: dict[str, ManifestEntry] = {}
-        for name in merged.suite:
-            entry = merged.entry_for(name)
-            if name not in point_sharded or not entry.ok:
-                continue
-            spec = STUDIES.get(name)
-            if spec is None:
-                raise ShardError(
-                    f"study {name!r} is not in the registry; cannot "
-                    "re-materialize its point-sharded artifacts"
-                )
-            _verify_point_shard_fingerprints(name, spec, manifests, runtime)
-            rebuilt[name] = _rematerialize_study(name, spec, runtime, out)
-        merged = replace(
-            merged,
-            entries=tuple(
-                rebuilt.get(entry.name, entry) for entry in merged.entries
-            ),
-        )
+        collect_artifacts(manifest, shard_dir, out)
     merged.write(out)
     return merged
 
@@ -490,9 +366,7 @@ def _report_manifest(manifest: RunManifest, output_dir: str) -> int:
     for entry in entries:
         telemetry.absorb(SweepTelemetry.from_counters(entry.telemetry))
     print(f"\n{_status_table(entries)}")
-    shards = (len(manifest.merged_from) or 1) * (
-        len(manifest.point_merged_from) or 1
-    )
+    shards = len(manifest.merged_from) or 1
     print(f"\n{len(entries)} studies from {shards} shard(s), "
           f"{total_rows} result rows. CSVs in {output_dir}/results, "
           f"reports in {output_dir}/reports.")
@@ -553,21 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         help="split the suite into N deterministic slices",
     )
     parser.add_argument(
-        "--point-shard-index", type=int, default=0, metavar="I",
-        help="run the I-th slice of every study's sweep-point space",
-    )
-    parser.add_argument(
-        "--point-shard-count", type=int, default=1, metavar="N",
-        help="split every study's sweep-point space into N deterministic "
-             "slices (point shards should share one --cache-dir so the "
-             "merge can re-materialize full tables from cache)",
-    )
-    parser.add_argument(
         "--merge", nargs="+", default=None, metavar="DIR",
         help="merge shard output directories into OUTPUT_DIR instead of "
-             "running studies (verifies no study — or sweep point — was "
-             "dropped or duplicated; point-sharded studies are "
-             "re-materialized under --cache-dir/--seed)",
+             "running studies (verifies no study was dropped or duplicated)",
     )
     parser.add_argument(
         "--force", action="store_true",
@@ -641,37 +503,29 @@ def main(argv: list[str] | None = None) -> int:
                 ("--only", args.only is not None),
                 ("--shard-index", args.shard_index != 0),
                 ("--shard-count", args.shard_count != 1),
-                ("--point-shard-index", args.point_shard_index != 0),
-                ("--point-shard-count", args.point_shard_count != 1),
                 ("--force", args.force),
                 ("--expect-warm", args.expect_warm),
+                ("--workers", args.workers != 1),
+                ("--cache-dir", args.cache_dir is not None),
+                ("--trace-cache-dir", args.trace_cache_dir is not None),
+                ("--seed", args.seed is not None),
+                ("--retries", args.retries is not None),
+                ("--retry-backoff", args.retry_backoff is not None),
+                ("--point-deadline", args.point_deadline is not None),
                 ("--chaos", chaos is not None),
             ) if given
         ]
         if incompatible:
             print(
                 f"error: {', '.join(incompatible)} cannot be combined with "
-                "--merge (merging only combines existing shard outputs; "
-                "--workers/--cache-dir/--seed configure how point-sharded "
-                "studies are re-materialized)",
+                "--merge (merging only combines existing shard outputs)",
                 file=sys.stderr,
             )
             return EXIT_USAGE
         print(f"Merging {len(args.merge)} shard(s) into {args.output_dir}/ ...")
         try:
-            merged = merge_shards(
-                args.merge,
-                args.output_dir,
-                runtime=RuntimeOptions(
-                    workers=args.workers,
-                    cache_dir=args.cache_dir,
-                    trace_cache_dir=args.trace_cache_dir,
-                    seed=args.seed,
-                    on_error=args.on_error,
-                    retry=retry,
-                ),
-            )
-        except (ReproError, ValueError) as exc:
+            merged = merge_shards(args.merge, args.output_dir)
+        except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         return _report_manifest(merged, args.output_dir)
@@ -684,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_cache_dir=args.trace_cache_dir,
             on_error=args.on_error,
             seed=args.seed,
-            point_shard_index=args.point_shard_index,
-            point_shard_count=args.point_shard_count,
             retry=retry,
             chaos=chaos,
         )
@@ -696,10 +548,6 @@ def main(argv: list[str] | None = None) -> int:
         f" (shard {args.shard_index}/{args.shard_count})"
         if args.shard_count > 1 else ""
     )
-    if args.point_shard_count > 1:
-        shard_note += (
-            f" (point shard {args.point_shard_index}/{args.point_shard_count})"
-        )
     print(f"Regenerating studies into {args.output_dir}/{shard_note} ...")
     try:
         # SIGTERM (CI runners, systemd, Kubernetes) takes the same clean

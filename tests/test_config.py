@@ -202,7 +202,7 @@ class TestRuntimeSectionExtensions:
         )).runtime_options()
         assert str(options.effective_trace_cache_dir) == str(Path("root") / "traces")
 
-    @pytest.mark.parametrize("key", ["worker", "schedule"])
+    @pytest.mark.parametrize("key", ["worker", "schedule", "point_shard_count"])
     def test_unknown_runtime_key_rejected_by_name(self, key):
         # A typo or a removed option must fail loudly, not run a
         # different plan than the config asks for.
@@ -334,8 +334,6 @@ class TestSuiteConfig:
         assert parsed.shard_index == 0
         assert parsed.shard_count == 1
         assert parsed.incremental
-        assert parsed.point_shard_index is None
-        assert parsed.point_shard_count is None
 
     def test_unknown_study_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown study"):
@@ -347,22 +345,12 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError, match="shard_index"):
             parse_suite_config(suite_config(tmp_path, shard_index=2, shard_count=2))
 
-    def test_point_shard_keys_parsed(self, tmp_path):
-        parsed = parse_suite_config(suite_config(
-            tmp_path, point_shard_index=1, point_shard_count=3))
-        assert parsed.point_shard_index == 1
-        assert parsed.point_shard_count == 3
-        count_only = parse_suite_config(suite_config(tmp_path,
-                                                     point_shard_count=2))
-        assert count_only.point_shard_index == 0
-        assert count_only.point_shard_count == 2
-
-    def test_bad_point_shard_bounds_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="point_shard_count"):
-            parse_suite_config(suite_config(tmp_path, point_shard_count=0))
-        with pytest.raises(ConfigError, match="point_shard_index"):
-            parse_suite_config(suite_config(
-                tmp_path, point_shard_index=2, point_shard_count=2))
+    @pytest.mark.parametrize("key", ["shard_cont", "point_shard_count"])
+    def test_unknown_suite_key_rejected_by_name(self, tmp_path, key):
+        # A typo or a removed option must fail loudly, not silently run
+        # the whole suite.
+        with pytest.raises(ConfigError, match=repr(key)):
+            parse_suite_config(suite_config(tmp_path, **{key: 3}))
 
     def test_only_must_be_a_list(self, tmp_path):
         with pytest.raises(ConfigError, match="list of study names"):
@@ -424,36 +412,3 @@ class TestSuiteCLI:
                        str(tmp_path / "s0")])
         assert rc == 2
         assert "missing shard" in capsys.readouterr().err
-
-    def test_point_sharded_suite_merge(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        for i in range(2):
-            path = tmp_path / f"point{i}.json"
-            config = suite_config(
-                tmp_path, only=["fig09_spec_llc"],
-                output_dir=str(tmp_path / f"p{i}"),
-                point_shard_index=i, point_shard_count=2,
-            )
-            config["runtime"] = {"cache_dir": cache}
-            path.write_text(json.dumps(config))
-            assert cli_main([str(path)]) == 0
-        capsys.readouterr()
-        rc = cli_main(["merge-shards", str(tmp_path / "merged"),
-                       str(tmp_path / "p0"), str(tmp_path / "p1"),
-                       "--cache-dir", cache])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "| fig09_spec_llc | ok |" in out
-        assert "1 studies from 2 shard(s)" in out
-
-    def test_run_study_point_shard_flags(self, tmp_path, capsys):
-        assert cli_main(["run-study", "fig09_spec_llc"]) == 0
-        full = int(capsys.readouterr().out.split(" result rows")[0])
-        shard_rows = []
-        for i in range(2):
-            assert cli_main(["run-study", "fig09_spec_llc",
-                             "--point-shard-index", str(i),
-                             "--point-shard-count", "2"]) == 0
-            shard_rows.append(int(capsys.readouterr().out.split(" result rows")[0]))
-        assert sum(shard_rows) == full
-        assert all(rows < full for rows in shard_rows)

@@ -335,156 +335,23 @@ def test_main_merge_rejects_run_flags(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--only" in err and "--expect-warm" in err
     assert "cannot be combined with --merge" in err
-
-
-# --- intra-study point sharding + merge ------------------------------------
-
-#: Small but representative: fig09 routes points through the engine sweep
-#: path (shardable), ext_hierarchy characterizes per-point outside it
-#: (degenerate: every point shard runs it whole; the merge re-materializes).
-POINT_SUBSET = ["fig09_spec_llc", "ext_hierarchy"]
-
-
-def _point_shard_runs(tmp_path, count, only=POINT_SUBSET, seed=None):
-    cache = tmp_path / "shared-cache"
-    dirs = []
-    for i in range(count):
-        out = tmp_path / f"ps{i}"
-        dirs.append(out)
-        run = run_all(out, runtime=RuntimeOptions(
-            cache_dir=cache, seed=seed,
-            point_shard_index=i, point_shard_count=count,
-        ), only=only)
-        assert run.ok
-    return dirs, cache
-
-
-@pytest.mark.parametrize("count", [2, 3])
-def test_point_shard_merge_matches_single_host(tmp_path, count, capsys):
-    """Acceptance: a study split across N point shards, then merged,
-    produces CSVs byte-identical to the single-host run, and the merge
-    re-materializes entirely from the shared caches (zero fresh work)."""
-    single = run_all(tmp_path / "single",
-                     runtime=RuntimeOptions(cache_dir=tmp_path / "single-cache"),
-                     only=POINT_SUBSET)
-    assert single.ok
-
-    dirs, cache = _point_shard_runs(tmp_path, count)
-    capsys.readouterr()
-    merged = merge_shards(dirs, tmp_path / "merged",
-                          runtime=RuntimeOptions(cache_dir=cache))
-    assert merged.ok
-    assert merged.names == tuple(POINT_SUBSET)
-    assert merged.point_merged_from == tuple(range(count))
-
-    single_manifest = RunManifest.load(tmp_path / "single")
-    for name in POINT_SUBSET:
-        merged_entry = merged.entry_for(name)
-        single_entry = single_manifest.entry_for(name)
-        assert merged_entry.rows == single_entry.rows, name
-        assert merged_entry.fingerprint == single_entry.fingerprint, name
-        single_csv = (tmp_path / "single" / "results" / f"{name}.csv").read_bytes()
-        merged_csv = (tmp_path / "merged" / "results" / f"{name}.csv").read_bytes()
-        assert single_csv == merged_csv, f"{name}: merged CSV differs"
-        assert (tmp_path / "merged" / "reports" / f"{name}.md").exists()
-        # Re-materialization was served from the shards' caches.
-        from repro.runtime.telemetry import SweepTelemetry as _T
-
-        telemetry = _T.from_counters(merged_entry.telemetry)
-        assert telemetry.completed == 0, name
-        assert telemetry.evaluated == 0, name
-
-
-def test_point_shards_partition_sweep_rows(tmp_path):
-    dirs, _ = _point_shard_runs(tmp_path, 2, only=["fig09_spec_llc"])
-    manifests = [RunManifest.load(d) for d in dirs]
-    sections = [dict(m.entry_for("fig09_spec_llc").point_shard) for m in manifests]
-    assert sections[0]["planned"] == sections[1]["planned"] > 0
-    selected = [set(s["selected"]) for s in sections]
-    assert selected[0].isdisjoint(selected[1])
-    assert len(selected[0] | selected[1]) == sections[0]["planned"]
-    rows = [m.entry_for("fig09_spec_llc").rows for m in manifests]
-    single = run_all(tmp_path / "single", only=["fig09_spec_llc"])
-    assert sum(rows) == single.outcomes[0].rows
-
-
-def test_point_shard_rerun_is_incremental_per_slice(tmp_path):
-    out = tmp_path / "out"
-    runtime = RuntimeOptions(point_shard_index=0, point_shard_count=2)
-    first = run_all(out, runtime=runtime, only=["fig09_spec_llc"])
-    assert first.ok and not first.fully_incremental
-    again = run_all(out, runtime=runtime, only=["fig09_spec_llc"])
-    assert again.fully_incremental
-    # A different slice into the same directory is different work.
-    other = run_all(out, runtime=RuntimeOptions(
-        point_shard_index=1, point_shard_count=2), only=["fig09_spec_llc"])
-    assert other.incremental_skips == 0
-
-
-def test_point_shard_merge_rejects_seed_mismatch(tmp_path, capsys):
-    dirs, cache = _point_shard_runs(tmp_path, 2, only=["fig09_spec_llc"],
-                                    seed=123)
-    capsys.readouterr()
-    from repro.runtime.shard import ShardError
-
-    with pytest.raises(ShardError, match="seed, or source revision"):
-        merge_shards(dirs, tmp_path / "merged",
-                     runtime=RuntimeOptions(cache_dir=cache))  # seed omitted
-    merged = merge_shards(dirs, tmp_path / "merged",
-                          runtime=RuntimeOptions(cache_dir=cache, seed=123))
-    assert merged.ok
-
-
-def test_point_shard_merge_rejects_empty_fingerprint(tmp_path, capsys):
-    """Every point-shard entry carries the fingerprint of the slice it
-    ran; an entry without one cannot be re-verified and fails the merge."""
-    dirs, cache = _point_shard_runs(tmp_path, 2, only=["fig09_spec_llc"])
-    capsys.readouterr()
-    manifest = RunManifest.load(dirs[1])
-    dataclasses.replace(
-        manifest,
-        entries=tuple(
-            dataclasses.replace(entry, fingerprint="") for entry in manifest.entries
-        ),
-    ).write(dirs[1])
-    from repro.runtime.shard import ShardError
-
-    with pytest.raises(ShardError, match="fig09_spec_llc"):
-        merge_shards(dirs, tmp_path / "merged",
-                     runtime=RuntimeOptions(cache_dir=cache))
-
-
-def test_main_point_shard_flags_and_merge(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    for i in range(2):
-        assert main([str(tmp_path / f"p{i}"), "--only", "fig09_spec_llc",
-                     "--point-shard-index", str(i), "--point-shard-count", "2",
-                     "--cache-dir", cache]) == 0
-    capsys.readouterr()
-    rc = main([str(tmp_path / "merged"), "--merge",
-               str(tmp_path / "p0"), str(tmp_path / "p1"),
-               "--cache-dir", cache])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "| fig09_spec_llc | ok |" in out
-    assert "1 studies from 2 shard(s)" in out
-    # Warm assertion against the now-complete shared cache.
-    assert main([str(tmp_path / "warm"), "--only", "fig09_spec_llc",
-                 "--cache-dir", cache, "--expect-warm"]) == 0
-
-
-def test_main_point_shard_flags_validated(tmp_path, capsys):
-    rc = main([str(tmp_path), "--point-shard-index", "3",
-               "--point-shard-count", "2"])
-    assert rc == 2
-    assert "point_shard_index" in capsys.readouterr().err
-
-
-def test_main_merge_rejects_point_shard_flags(tmp_path, capsys):
+    # A merge only copies shard outputs: cache and runtime flags have
+    # nothing to configure and are rejected by name.
     rc = main([str(tmp_path / "m"), "--merge", str(tmp_path / "s0"),
-               "--point-shard-count", "2"])
+               "--cache-dir", str(tmp_path / "cache")])
     assert rc == 2
-    assert "--point-shard-count" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--cache-dir" in err
+    assert "cannot be combined with --merge" in err
+
+
+def test_main_rejects_point_shard_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path), "--point-shard-count", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "unrecognized arguments: --point-shard-count 2" in err
 
 
 def test_main_merge_rejects_bad_runtime_values(tmp_path, capsys):
