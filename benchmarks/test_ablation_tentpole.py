@@ -12,7 +12,7 @@ from repro.nvsim import OptimizationTarget, characterize
 from repro.units import mb
 
 
-def _characterize_all():
+def _characterize_cells():
     tent = tentpoles_for(TechnologyClass.RRAM)
     out = {}
     for label, cell in (("optimistic", tent.optimistic),
@@ -26,7 +26,7 @@ def _characterize_all():
 
 
 def test_ablation_tentpole_coverage(benchmark):
-    arrays = benchmark.pedantic(_characterize_all, rounds=1, iterations=1)
+    arrays = benchmark.pedantic(_characterize_cells, rounds=1, iterations=1)
 
     metrics = {
         "read_latency": lambda a: a.read_latency,

@@ -62,7 +62,7 @@ def _node_for(cell):
 
 
 def _seed_evaluate_all(cell, capacity_bytes, node_nm, access_bits):
-    """The seed ``_characterize_all``: one scalar model call per lane."""
+    """The seed organization sweep: one scalar model call per lane."""
     node = get_node(node_nm)
     evaluated = []
     for org in candidate_organizations(

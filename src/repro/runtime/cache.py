@@ -16,7 +16,7 @@ versions, and its ``sha256`` covers the body bytes exactly, so a load
 verifies an entry by hashing the bytes it read before parsing them
 (:func:`decode_entry`).
 
-Five stores share this machinery:
+Four stores share this machinery:
 
 * :class:`CharacterizationCache` — array characterizations, keyed by
   :func:`~repro.runtime.fingerprint.point_fingerprint` (PR 1);
@@ -27,10 +27,6 @@ Five stores share this machinery:
   blocks, keyed by
   :func:`~repro.runtime.fingerprint.evaluation_fingerprint`, so repeated
   study runs skip the evaluation loop entirely;
-* :class:`OrganizationCloudCache` — full organization clouds (every
-  feasible organization of one request, the Figure 12 co-design input),
-  keyed by :meth:`OrganizationCloudCache.fingerprint_for`, so the
-  biggest cold-run cost of the area-efficiency studies is paid once;
 * :class:`DerivedCache` — expensive deterministic study inputs (graph
   BFS access counts, trained DNN-proxy weights), so a warm run neither
   builds the synthetic social graphs nor retrains the fig13 proxy.
@@ -388,81 +384,6 @@ class EvaluationCache(JsonObjectCache):
         ):
             raise ValueError("evaluation payload must be a list of row objects")
         return payload
-
-
-class OrganizationCloudCache(JsonObjectCache):
-    """On-disk store of full organization clouds (Figure 12 input).
-
-    One entry holds the complete list of feasible
-    :class:`ArrayCharacterization` for one (cell, capacity, node, access
-    width, bits/cell) request — the output of
-    :func:`repro.nvsim.characterize.all_organizations`.  The entry shares
-    :data:`~repro.runtime.fingerprint.SCHEMA_TAG` with the winner cache:
-    both payloads are produced by the same model, so a model change
-    invalidates both at once.
-    """
-
-    def __init__(
-        self,
-        root: Union[str, Path],
-        schema_tag: str = SCHEMA_TAG,
-        chaos: Optional["ChaosOptions"] = None,
-    ) -> None:
-        super().__init__(root, schema_tag, chaos=chaos)
-
-    def _encode(self, result) -> Any:
-        return [array.to_dict() for array in result]
-
-    def _decode(self, payload) -> list[ArrayCharacterization]:
-        if not isinstance(payload, list):
-            raise ValueError("organization-cloud payload must be a list")
-        return [ArrayCharacterization.from_dict(entry) for entry in payload]
-
-    def fingerprint_for(
-        self,
-        cell,
-        capacity_bytes: int,
-        node_nm: int,
-        access_bits: int,
-        bits_per_cell: int,
-    ) -> str:
-        """Stable content key for one whole-cloud request.
-
-        Unlike :func:`~repro.runtime.fingerprint.point_fingerprint` there
-        is no optimization target — the cloud is target-independent.
-        """
-        # Imported lazily to keep this module's import graph identical to
-        # the other stores (fingerprint already imports cell export).
-        from repro.cells.export import cell_to_dict
-        from repro.runtime.fingerprint import fingerprint_payload
-
-        return fingerprint_payload({
-            "kind": "organization-cloud",
-            "schema": self.schema_tag,
-            "cell": cell_to_dict(cell),
-            "capacity_bytes": int(capacity_bytes),
-            "node_nm": int(node_nm),
-            "access_bits": int(access_bits),
-            "bits_per_cell": int(bits_per_cell),
-        })
-
-
-def organization_cloud_cache(runtime) -> Optional[OrganizationCloudCache]:
-    """The cloud store for one :class:`RuntimeOptions`, or ``None``.
-
-    Lives under ``<cache_dir>/clouds`` next to the other stores; returns
-    ``None`` when the runtime is absent or keeps no persistent cache.
-    """
-    if runtime is None or runtime.cache_dir is None:
-        return None
-    # Imported lazily: options imports nothing from this module, but the
-    # subdir constant lives there with its siblings.
-    from repro.runtime.options import CLOUD_CACHE_SUBDIR
-
-    return OrganizationCloudCache(
-        Path(runtime.cache_dir) / CLOUD_CACHE_SUBDIR,
-        chaos=runtime.chaos,
-    )
 
 
 class LLCTraceCache(JsonObjectCache):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -59,9 +58,6 @@ from repro.runtime.telemetry import (
     SweepTelemetry,
 )
 
-#: Target number of chunks per worker; >1 so a slow chunk doesn't leave
-#: the rest of the pool idle at the tail of the sweep.
-_CHUNKS_PER_WORKER = 4
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -127,16 +123,7 @@ def sweep_points(spec) -> List[SweepPoint]:
     return points
 
 
-def _default_chunksize(n_items: int, workers: int) -> int:
-    return max(1, math.ceil(n_items / (workers * _CHUNKS_PER_WORKER)))
-
-
 # --- characterization fan-out ---------------------------------------------
-
-
-def _characterize_point(point: SweepPoint) -> ArrayCharacterization:
-    """Picklable task body for the resilient characterization fan-out."""
-    return point.characterize()
 
 
 @dataclass(frozen=True)
@@ -220,7 +207,6 @@ def characterize_points(
     memory: Optional[dict] = None,
     on_error: str = "raise",
     telemetry: Optional[SweepTelemetry] = None,
-    chunksize: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
 ) -> List[Optional[ArrayCharacterization]]:
@@ -398,7 +384,6 @@ def characterize_points(
             workers=workers,
             policy=retry,
             chaos=chaos,
-            chunksize=chunksize or _default_chunksize(len(tasks), workers),
             on_outcome=_on_outcome,
             on_retry=_on_retry,
         )
@@ -445,7 +430,6 @@ def evaluate_blocks(
     cache: Optional[EvaluationCache] = None,
     memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry] = None,
-    chunksize: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
 ) -> List[Optional[List[dict]]]:
@@ -549,7 +533,6 @@ def evaluate_blocks(
             workers=workers,
             policy=retry,
             chaos=chaos,
-            chunksize=chunksize or _default_chunksize(len(tasks), workers),
             on_outcome=_on_outcome,
             on_retry=_on_retry,
         )

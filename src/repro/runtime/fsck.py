@@ -50,7 +50,7 @@ from repro.runtime.shard import RunManifest
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
 
 #: Store subdirectories fsck knows about inside a unified cache root.
-_KNOWN_STORES = ("arrays", "evaluations", "traces", "clouds", "derived")
+_KNOWN_STORES = ("arrays", "evaluations", "traces", "derived")
 
 
 @dataclass
@@ -215,7 +215,7 @@ def fsck_cache_dir(
     """Audit every store under a unified cache root.
 
     Recognizes the standard layout (``arrays/``, ``evaluations/``,
-    ``traces/``, ``clouds/``, ``derived/``); a directory that itself fans
+    ``traces/``, ``derived/``); a directory that itself fans
     out into two-hex-digit subdirs is treated as a single bare store.
     ``repair_from`` names a sibling cache root with the same layout.
     """
@@ -272,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "cache_dir", nargs="?", default=None,
         help="unified cache root to audit (arrays/, evaluations/, traces/, "
-             "clouds/, derived/)",
+             "derived/)",
     )
     parser.add_argument(
         "--repair-from", metavar="DIR", default=None,

@@ -37,6 +37,7 @@ bounded, so the loop terminates even under a 100% crash rate.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
@@ -231,7 +232,9 @@ def run_resilient(
     task in completion order — if it raises, outstanding work is cancelled
     and the exception propagates (this is how ``on_error="raise"`` keeps
     its abort-the-sweep semantics).  ``on_retry(key, next_attempt, error)``
-    fires before each backoff sleep.
+    fires before each backoff sleep.  ``chunksize`` defaults to
+    ``ceil(len(tasks) / (4 * workers))``: four chunks per worker, so a
+    slow chunk does not leave the rest of the pool idle at the tail.
 
     Returns ``{key: TaskOutcome}`` for every task.
     """
@@ -307,7 +310,7 @@ def _run_pool(
         effective_chunksize = 1
         max_inflight: Optional[int] = workers
     else:
-        effective_chunksize = max(1, chunksize or _auto_chunksize(len(tasks), workers))
+        effective_chunksize = chunksize or math.ceil(len(tasks) / (4 * workers))
         max_inflight = None
 
     ready: deque[List[_Entry]] = deque(
@@ -457,9 +460,3 @@ def _run_pool(
         raise
     else:
         pool.shutdown(wait=True)
-
-
-def _auto_chunksize(count: int, workers: int) -> int:
-    """Mirror the executor's chunking heuristic (4 chunks per worker)."""
-
-    return max(1, count // (workers * 4) or 1)

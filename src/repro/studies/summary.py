@@ -13,6 +13,9 @@ LLC traces (``--trace-cache-dir`` relocates just the traces), ``--seed``
 pins every stochastic component.  A warm second run against the same
 cache directory performs zero characterizations and zero evaluation
 blocks; ``--expect-warm`` turns that into an exit-code assertion for CI.
+A warm run still recomputes Figure 12's organization clouds
+(:func:`repro.nvsim.characterize.all_organizations`), which are cheaper
+to rebuild than to load; they are never counted as fresh work.
 
 Three suite-scale features build on :mod:`repro.runtime.shard`:
 

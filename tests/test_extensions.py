@@ -1,5 +1,5 @@
-"""Tests for extension modules: backends, 3D stacking, retention, hierarchy,
-and markdown reports."""
+"""Tests for extension modules: 3D stacking, retention, hierarchy, and
+markdown reports."""
 
 import pytest
 
@@ -13,9 +13,7 @@ from repro.core import (
 )
 from repro.errors import CharacterizationError, EvaluationError
 from repro.nvsim import (
-    AnalyticalBackend,
     OptimizationTarget,
-    TableBackend,
     characterize,
     characterize_stacked,
     stacking_sweep,
@@ -24,53 +22,6 @@ from repro.results import ResultTable
 from repro.traffic import TrafficPattern
 from repro.units import kb, mb
 from repro.viz import comparison_report, study_report
-
-
-class TestBackends:
-    def test_analytical_backend_matches_characterize(self, stt_optimistic):
-        backend = AnalyticalBackend()
-        a = backend.characterize(stt_optimistic, mb(1))
-        b = characterize(stt_optimistic, mb(1))
-        assert a.read_latency == b.read_latency
-        assert a.area == b.area
-
-    def _table_rows(self):
-        return [
-            {"capacity_bytes": mb(1), "area_mm2": 0.1, "read_latency_ns": 2.0,
-             "write_latency_ns": 10.0, "read_energy_pj": 5.0,
-             "write_energy_pj": 20.0, "leakage_mw": 0.5},
-            {"capacity_bytes": mb(4), "area_mm2": 0.4, "read_latency_ns": 4.0,
-             "write_latency_ns": 12.0, "read_energy_pj": 10.0,
-             "write_energy_pj": 30.0, "leakage_mw": 2.0},
-        ]
-
-    def test_table_backend_exact_row(self, rram_optimistic):
-        backend = TableBackend(rram_optimistic, self._table_rows())
-        array = backend.characterize(rram_optimistic, mb(1))
-        assert array.read_latency == pytest.approx(2e-9)
-        assert array.leakage_power == pytest.approx(0.5e-3)
-
-    def test_table_backend_interpolates_loglog(self, rram_optimistic):
-        backend = TableBackend(rram_optimistic, self._table_rows())
-        array = backend.characterize(rram_optimistic, mb(2))
-        # Geometric midpoint of 2 and 4 ns at the log-midpoint capacity.
-        assert array.read_latency == pytest.approx((2e-9 * 4e-9) ** 0.5, rel=1e-6)
-
-    def test_table_backend_refuses_extrapolation(self, rram_optimistic):
-        backend = TableBackend(rram_optimistic, self._table_rows())
-        with pytest.raises(CharacterizationError):
-            backend.characterize(rram_optimistic, mb(16))
-
-    def test_table_backend_validates_rows(self, rram_optimistic):
-        with pytest.raises(CharacterizationError):
-            TableBackend(rram_optimistic, [{"capacity_bytes": mb(1)}])
-        with pytest.raises(CharacterizationError):
-            TableBackend(rram_optimistic, [])
-
-    def test_table_backend_wrong_cell(self, rram_optimistic, stt_optimistic):
-        backend = TableBackend(rram_optimistic, self._table_rows())
-        with pytest.raises(CharacterizationError):
-            backend.characterize(stt_optimistic, mb(1))
 
 
 class TestStacking:

@@ -3,18 +3,28 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.runtime.cache import QUARANTINE_SUBDIR, EvaluationCache
 from repro.runtime.fingerprint import fingerprint_payload
 from repro.runtime.fsck import (
+    _KNOWN_STORES,
     fsck_cache_dir,
     fsck_manifest,
     fsck_store,
 )
 from repro.runtime.fsck import main as fsck_main
+from repro.runtime.options import RuntimeOptions
 from repro.runtime.shard import ManifestEntry, RunManifest
+from repro.studies.summary import run_all
+
+#: The composite action that restores the persistent study caches in CI.
+CI_CACHE_ACTION = (
+    Path(__file__).resolve().parents[1] / ".github" / "actions" / "study-caches" / "action.yml"
+)
 
 
 def _populate(root, count=3, salt="fsck"):
@@ -236,3 +246,16 @@ class TestFsckCli:
         with pytest.raises(SystemExit):
             fsck_main([])
         capsys.readouterr()
+
+
+def test_cold_suite_stores_match_fsck_and_ci_cache_paths(tmp_path):
+    """Every store a cold suite run creates is audited by fsck and cached
+    by CI, and neither knows a store the suite does not create."""
+    cache_dir = tmp_path / "cache"
+    run = run_all(tmp_path / "out", runtime=RuntimeOptions(cache_dir=cache_dir))
+    assert run.ok
+    created = sorted(p.name for p in cache_dir.iterdir() if p.is_dir())
+    ci_paths = sorted(re.findall(r"^\s*\.cache/(\w+)\s*$",
+                                 CI_CACHE_ACTION.read_text(), re.MULTILINE))
+    assert created == sorted(_KNOWN_STORES)
+    assert ci_paths == sorted(_KNOWN_STORES)

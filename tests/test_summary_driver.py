@@ -2,6 +2,10 @@
 incremental runs, sharded execution, and shard merging."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,22 @@ def test_study_registry_covers_evaluation_figures():
 
 def test_registry_is_the_summary_registry():
     assert STUDIES is REGISTRY
+
+
+def test_suite_import_loads_neither_asyncio_nor_fsck():
+    # The service and the fsck CLI import these themselves; the suite's
+    # own import path must not pay for them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, repro.studies.summary; "
+        "print(sorted({'asyncio', 'repro.runtime.fsck'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_subset_writes_artifacts(tmp_path):
