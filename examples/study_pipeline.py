@@ -2,14 +2,16 @@
 """The unified study pipeline: run registered paper studies uniformly.
 
 Every study in ``repro.studies.pipeline.REGISTRY`` accepts the same
-``RuntimeOptions`` — worker processes, a persistent cache root (array
-characterizations, (array x traffic) evaluation blocks, and LLC traces
-all live under it), error policy, and seed.  This demo:
+``RuntimeOptions`` — worker processes, a persistent cache root (whole
+studies' rows, array characterizations and LLC traces all live under
+it), error policy, and seed.  This demo:
 
   1. lists the registry;
   2. runs two studies cold against a cache directory;
-  3. runs them again warm — zero characterizations, zero evaluations,
-     every block served from the persistent caches.
+  3. runs them again warm — each study served whole from the
+     ``studies/`` store: zero characterizations, zero evaluations;
+  4. runs them at another seed — a study-store miss that still reuses
+     every characterization from the ``arrays/`` store.
 
 Equivalent CLI:
   python -m repro.config.cli run-study ext_hierarchy --cache-dir .cache
@@ -33,7 +35,7 @@ def run_pass(runtime: RuntimeOptions, label: str) -> None:
         t = outcome.telemetry
         print(f"{name:18s} {outcome.rows:4d} rows  {outcome.elapsed_s:5.2f}s  "
               f"chars {t.completed} fresh / {t.cached} cached, "
-              f"evals {t.evaluated} fresh / {t.eval_cached} cached")
+              f"evals {t.evaluated} fresh")
     print()
 
 
@@ -48,17 +50,20 @@ def main() -> None:
         run_pass(runtime, "cold run (populates the persistent caches)")
 
         warm = RuntimeOptions(cache_dir=cache_dir)
-        print("--- warm run (everything served from cache) ---")
+        print("--- warm run (each study served whole from studies/) ---")
         for name in DEMO_STUDIES:
             outcome = REGISTRY[name].run(warm)
             t = outcome.telemetry
             assert t.completed == 0, "warm run must not re-characterize"
             assert t.evaluated == 0, "warm run must not re-evaluate"
             print(f"{name:18s} {outcome.rows:4d} rows  {outcome.elapsed_s:5.2f}s  "
-                  f"all {t.cached} characterizations and "
-                  f"{t.eval_cached} evaluation blocks cached")
+                  f"served from the study store")
+        print()
 
-    print("\nwarm re-run recomputed nothing; results identical by construction.")
+        reseeded = RuntimeOptions(cache_dir=cache_dir, seed=7)
+        run_pass(reseeded, "another seed (study-store miss, arrays reused)")
+
+    print("warm re-run recomputed nothing; results identical by construction.")
 
 
 if __name__ == "__main__":

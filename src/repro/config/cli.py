@@ -45,8 +45,8 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", metavar="PATH",
-        help="persistent cache root: characterizations, evaluation blocks, "
-             "LLC traces (overrides config runtime.cache_dir)",
+        help="persistent cache root: studies, characterizations, LLC traces, "
+             "derived inputs (overrides config runtime.cache_dir)",
     )
     parser.add_argument(
         "--trace-cache-dir", metavar="PATH",

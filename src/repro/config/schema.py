@@ -38,7 +38,7 @@ A config describes one design sweep::
 
 The optional ``runtime`` section controls sweep execution (see
 :mod:`repro.runtime`): process-pool width, the persistent cache root
-(characterizations, evaluation blocks, and LLC traces live under it),
+(studies, characterizations, LLC traces and derived inputs live under it),
 an optional trace-cache override, whether a failing design point aborts
 the sweep or is skipped with telemetry, a seed override for stochastic
 components, the transient-failure retry policy, and (for testing only)

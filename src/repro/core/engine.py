@@ -8,10 +8,11 @@ the dashboards plot.
 
 Execution is delegated to :mod:`repro.runtime`: ``workers>1`` fans
 characterization and (array, traffic) evaluation out over a process pool,
-``cache_dir`` persists characterizations across runs, and
-``on_error="skip"`` reports failed points through telemetry instead of
-aborting the sweep.  The defaults (serial, in-memory cache only, abort on
-error) preserve the engine's historical behavior.
+``cache_dir`` persists characterizations across runs (evaluations are
+always recomputed), and ``on_error="skip"`` reports failed points
+through telemetry instead of aborting the sweep.  The defaults (serial,
+in-memory cache only, abort on error) preserve the engine's historical
+behavior.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.core.metrics import (  # noqa: F401  (re-exported for compatibility)
 from repro.errors import CharacterizationError
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.results.table import ResultTable
-from repro.runtime.cache import CharacterizationCache, EvaluationCache
+from repro.runtime.cache import CharacterizationCache
 from repro.runtime.chaos import ChaosOptions
 from repro.runtime.executor import (
     SweepPoint,
@@ -39,11 +40,7 @@ from repro.runtime.executor import (
     sweep_points,
 )
 from repro.runtime.resilience import RetryPolicy
-from repro.runtime.options import (
-    ARRAY_CACHE_SUBDIR,
-    EVALUATION_CACHE_SUBDIR,
-    RuntimeOptions,
-)
+from repro.runtime.options import ARRAY_CACHE_SUBDIR, RuntimeOptions
 from repro.runtime.telemetry import SweepTelemetry
 from repro.traffic.base import TrafficPattern
 
@@ -79,9 +76,10 @@ class DSEEngine:
         Process-pool width for characterization and evaluation fan-out;
         1 (the default) runs everything serially in-process.
     cache_dir:
-        Root of the persistent cache layout (``arrays/`` holds
-        characterizations, ``evaluations/`` holds (array x traffic)
-        evaluation row blocks); ``None`` keeps results in memory only.
+        Root of the persistent cache layout; the engine uses its
+        ``arrays/`` store of characterizations and recomputes every
+        (array x traffic) evaluation.  ``None`` keeps characterizations
+        in memory only.
     on_error:
         ``"raise"`` aborts the sweep on the first
         :class:`CharacterizationError` (historical behavior); ``"skip"``
@@ -111,18 +109,12 @@ class DSEEngine:
         self.retry = retry
         self.chaos = chaos
         self.cache: Optional[CharacterizationCache] = None
-        self.eval_cache: Optional[EvaluationCache] = None
         if cache_dir is not None:
-            root = Path(cache_dir)
-            self.cache = CharacterizationCache(root / ARRAY_CACHE_SUBDIR, chaos=chaos)
-            self.eval_cache = EvaluationCache(
-                root / EVALUATION_CACHE_SUBDIR, chaos=chaos
-            )
+            self.cache = CharacterizationCache(
+                Path(cache_dir) / ARRAY_CACHE_SUBDIR, chaos=chaos)
         #: In-memory cache keyed by the stable point fingerprint (shared
         #: with the on-disk cache's addressing).
         self._array_cache: dict[str, ArrayCharacterization] = {}
-        #: In-memory evaluation-block memo, keyed like the on-disk store.
-        self._eval_memory: dict[str, list[dict]] = {}
         #: Telemetry of the most recent ``run``/``arrays`` call.
         self.last_telemetry: Optional[SweepTelemetry] = None
 
@@ -183,11 +175,9 @@ class DSEEngine:
         extra=None,
         telemetry: Optional[SweepTelemetry] = None,
     ) -> list[list[dict]]:
-        """Evaluate arrays under a traffic block through every cache layer.
+        """Evaluate arrays under a traffic block on the engine's workers.
 
-        One list of flattened rows per array, in array order; blocks
-        already present in the in-memory memo or the persistent
-        evaluation cache are served without re-running the model.  See
+        One list of flattened rows per array, in array order.  See
         :func:`repro.runtime.executor.evaluate_blocks` for ``rows_fn`` /
         ``extra`` semantics.
         """
@@ -197,8 +187,6 @@ class DSEEngine:
             rows_fn=rows_fn,
             extra=extra,
             workers=self.workers,
-            cache=self.eval_cache,
-            memory=self._eval_memory,
             telemetry=(
                 telemetry if telemetry is not None else SweepTelemetry(self.progress)
             ),

@@ -153,9 +153,9 @@ def evaluate_many(
 ) -> list[SystemEvaluation]:
     """Evaluate one array under a whole block of traffic patterns.
 
-    The batched unit of the evaluation layer: worker tasks and the
-    persistent evaluation cache both operate on (array x traffic-block)
-    granularity rather than one (array, traffic) pair at a time.
+    The batched unit of the evaluation layer: worker tasks operate on
+    (array x traffic-block) granularity rather than one (array, traffic)
+    pair at a time.
     """
     return [evaluate(array, t, write_latency_mask) for t in traffic]
 

@@ -7,9 +7,9 @@ exploration; this package is the execution layer that delivers it:
   for sweep points (cell parameters + array provisioning), shared by the
   in-memory and on-disk caches.
 * :mod:`repro.runtime.cache` — persistent content-addressed caches (array
-  characterizations, (array x traffic) evaluation row blocks, regenerated
-  LLC traffic traces, and derived study inputs such as graph BFS counts
-  and trained proxy weights) so repeated and incremental sweeps are
+  characterizations, regenerated LLC traffic traces, derived study
+  inputs such as graph BFS counts and trained proxy weights, and whole
+  studies' result rows) so repeated and incremental runs are
   near-instant and interrupted sweeps are resumable.
 * :mod:`repro.runtime.executor` — chunked fan-out of characterization and
   (array, traffic) evaluation over a :class:`~concurrent.futures.\
@@ -48,9 +48,9 @@ ProcessPoolExecutor`, with deterministic result ordering and a serial
 from repro.runtime.cache import (
     QUARANTINE_SUBDIR,
     CharacterizationCache,
-    EvaluationCache,
     JsonObjectCache,
     LLCTraceCache,
+    StudyCache,
 )
 from repro.runtime.chaos import ChaosInjectedError, ChaosOptions, parse_chaos_spec
 from repro.runtime.executor import (
@@ -60,12 +60,9 @@ from repro.runtime.executor import (
     sweep_points,
 )
 from repro.runtime.fingerprint import (
-    EVAL_SCHEMA_TAG,
     SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
     canonical_json,
-    evaluation_context,
-    evaluation_fingerprint,
     fingerprint_payload,
     point_fingerprint,
     point_payload,
@@ -94,14 +91,12 @@ from repro.runtime.shard import (
 from repro.runtime.telemetry import ProgressEvent, SweepTelemetry
 
 __all__ = [
-    "EVAL_SCHEMA_TAG",
     "QUARANTINE_SUBDIR",
     "SCHEMA_TAG",
     "TRACE_SCHEMA_TAG",
     "ChaosInjectedError",
     "ChaosOptions",
     "CharacterizationCache",
-    "EvaluationCache",
     "JsonObjectCache",
     "LLCTraceCache",
     "ManifestEntry",
@@ -111,6 +106,7 @@ __all__ = [
     "RuntimeOptions",
     "ShardError",
     "ShardPlan",
+    "StudyCache",
     "SweepPoint",
     "SweepTelemetry",
     "TaskOutcome",
@@ -120,8 +116,6 @@ __all__ = [
     "engine_for",
     "ensure_runtime",
     "evaluate_blocks",
-    "evaluation_context",
-    "evaluation_fingerprint",
     "fingerprint_payload",
     "merge_manifests",
     "parse_chaos_spec",

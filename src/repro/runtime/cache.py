@@ -19,17 +19,16 @@ verifies an entry by hashing the bytes it read before parsing them
 Four stores share this machinery:
 
 * :class:`CharacterizationCache` — array characterizations, keyed by
-  :func:`~repro.runtime.fingerprint.point_fingerprint` (PR 1);
+  :func:`~repro.runtime.fingerprint.point_fingerprint`;
 * :class:`LLCTraceCache` — regenerated LLC traffic traces, keyed by
   :func:`~repro.runtime.fingerprint.trace_fingerprint`, so repeated LLC
   and write-buffer study runs skip cache simulation entirely;
-* :class:`EvaluationCache` — flattened (array x traffic) evaluation row
-  blocks, keyed by
-  :func:`~repro.runtime.fingerprint.evaluation_fingerprint`, so repeated
-  study runs skip the evaluation loop entirely;
 * :class:`DerivedCache` — expensive deterministic study inputs (graph
   BFS access counts, trained DNN-proxy weights), so a warm run neither
-  builds the synthetic social graphs nor retrains the fig13 proxy.
+  builds the synthetic social graphs nor retrains the fig13 proxy;
+* :class:`StudyCache` — one whole study's result rows, keyed by
+  :func:`~repro.runtime.shard.study_fingerprint`, so a repeated study
+  run (summary, ``run-study`` or the service) skips its builder.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from repro.errors import ReproError
 from repro.nvsim.result import ArrayCharacterization
 from repro.runtime.fingerprint import (
     DERIVED_SCHEMA_TAG,
-    EVAL_SCHEMA_TAG,
     SCHEMA_TAG,
+    STUDY_SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
     fingerprint_payload,
 )
@@ -359,18 +358,19 @@ class CharacterizationCache(JsonObjectCache):
         return super().load(fingerprint)
 
 
-class EvaluationCache(JsonObjectCache):
-    """On-disk store of (array x traffic) evaluation row blocks.
+class StudyCache(JsonObjectCache):
+    """On-disk store of whole studies' result rows.
 
-    One entry holds every flattened result row of one array evaluated
-    under one traffic block — already JSON-shaped, so encode/decode only
-    validate the structure.
+    One entry holds every row of one study's table, in table order and
+    with each row's key order, so a table rebuilt from it writes the
+    same CSV and report bytes as a fresh run.  Rows are already
+    JSON-shaped, so encode/decode only validate the structure.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
-        schema_tag: str = EVAL_SCHEMA_TAG,
+        schema_tag: str = STUDY_SCHEMA_TAG,
         chaos: Optional["ChaosOptions"] = None,
     ) -> None:
         super().__init__(root, schema_tag, chaos=chaos)
@@ -382,8 +382,13 @@ class EvaluationCache(JsonObjectCache):
         if not isinstance(payload, list) or not all(
             isinstance(row, dict) for row in payload
         ):
-            raise ValueError("evaluation payload must be a list of row objects")
+            raise ValueError("study payload must be a list of row objects")
         return payload
+
+
+#: The row-list store under its former name, which
+#: ``suitebench/test_suitebench.py`` still uses.
+EvaluationCache = StudyCache
 
 
 class LLCTraceCache(JsonObjectCache):
@@ -496,5 +501,21 @@ def derived_cache(runtime) -> Optional[DerivedCache]:
 
     return DerivedCache(
         Path(runtime.cache_dir) / DERIVED_CACHE_SUBDIR,
+        chaos=runtime.chaos,
+    )
+
+
+def study_cache(runtime) -> Optional[StudyCache]:
+    """The whole-study store for one :class:`RuntimeOptions`, or ``None``.
+
+    Lives under ``<cache_dir>/studies``; ``None`` when the runtime keeps
+    no persistent cache.
+    """
+    if runtime.cache_dir is None:
+        return None
+    from repro.runtime.options import STUDY_CACHE_SUBDIR
+
+    return StudyCache(
+        Path(runtime.cache_dir) / STUDY_CACHE_SUBDIR,
         chaos=runtime.chaos,
     )

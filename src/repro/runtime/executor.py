@@ -21,7 +21,6 @@ around them.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -38,14 +37,9 @@ from repro.errors import (
 from repro.nvsim import characterize
 from repro.nvsim.characterize import warm_lanes
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
-from repro.runtime.cache import CharacterizationCache, EvaluationCache
+from repro.runtime.cache import CharacterizationCache
 from repro.runtime.chaos import ChaosOptions
-from repro.runtime.fingerprint import (
-    SCHEMA_TAG,
-    evaluation_context,
-    evaluation_fingerprint,
-    point_fingerprint,
-)
+from repro.runtime.fingerprint import SCHEMA_TAG, point_fingerprint
 from repro.runtime.resilience import RetryPolicy, run_resilient
 from repro.runtime.telemetry import (
     CACHED,
@@ -394,30 +388,13 @@ def characterize_points(
 
 
 def rows_fn_id(rows_fn) -> str:
-    """Stable identity of a block evaluator, for cache fingerprints."""
+    """Stable identity of a block evaluator, for evaluation fingerprints."""
     return f"{rows_fn.__module__}:{rows_fn.__qualname__}"
 
 
 def _apply_rows_fn(rows_fn, traffic, extra, array):
     """Picklable task body for the resilient evaluation fan-out."""
     return rows_fn(array, traffic, extra)
-
-
-#: Immutable value types: a row holding only these shares nothing mutable.
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
-def _copy_row(row: dict) -> dict:
-    """A copy of ``row`` sharing no mutable value with it.
-
-    A flat row (every value a ``str``/``int``/``float``/``bool``/``None``)
-    is copied with ``dict(row)``; any other row — nested lists or dicts,
-    or values of other types — is deep-copied, since a shallow copy would
-    alias its mutable parts with the memo and the persisted block.
-    """
-    if _SCALAR_TYPES.issuperset(map(type, row.values())):
-        return dict(row)
-    return copy.deepcopy(row)
 
 
 def evaluate_blocks(
@@ -427,25 +404,19 @@ def evaluate_blocks(
     rows_fn: Optional[Callable] = None,
     extra: Any = None,
     workers: int = 1,
-    cache: Optional[EvaluationCache] = None,
-    memory: Optional[dict] = None,
     telemetry: Optional[SweepTelemetry] = None,
     retry: Optional[RetryPolicy] = None,
     chaos: Optional[ChaosOptions] = None,
 ) -> List[Optional[List[dict]]]:
     """Evaluate every array under the whole traffic block, in order.
 
-    Returns one list of flattened result rows per array.  ``rows_fn``
-    (default :func:`repro.core.metrics.evaluation_rows`) must be a
-    picklable module-level callable ``(array, traffic, extra) -> rows``;
-    ``extra`` carries its JSON-able parameters and participates in the
-    cache key.  Lookup order mirrors :func:`characterize_points`: the
-    in-process ``memory`` dict, then the on-disk ``cache``; fresh blocks
-    are written back to both.  Returned rows are copies that share no
-    mutable value with the memo (:func:`_copy_row`: flat rows are copied
-    with ``dict(row)``, rows with nested values are deep-copied), so
-    callers may annotate them — including nested values — without
-    corrupting the in-memory memo or the persisted cache entries.
+    Returns one list of flattened result rows per array, or ``None`` for
+    a block quarantined after exhausting its transient retries.
+    ``rows_fn`` (default :func:`repro.core.metrics.evaluation_rows`) must
+    be a picklable module-level callable ``(array, traffic, extra) ->
+    rows``; ``extra`` carries its parameters.  Every block is computed:
+    evaluation takes microseconds per block, so reuse happens a level up,
+    where the study store serves whole studies.
     """
     if rows_fn is None:
         # Imported lazily: repro.core builds on this module, so a
@@ -455,80 +426,41 @@ def evaluate_blocks(
         rows_fn = evaluation_rows
     traffic = tuple(traffic)
     telemetry = telemetry if telemetry is not None else SweepTelemetry()
-    memory = memory if memory is not None else {}
-    fn_id = rows_fn_id(rows_fn)
     total = len(arrays)
     results: List[Optional[List[dict]]] = [None] * total
+    # Task keys are unique per call and stable across runs, so chaos
+    # rolls the same faults on every run of the same sweep.
+    keys = [f"{index}:{array.label}" for index, array in enumerate(arrays)]
+    index_of = {key: index for index, key in enumerate(keys)}
 
     def _emit(
-        kind: str, index: int, source: str = "", duration_s: float = 0.0
+        kind: str, index: int, duration_s: float = 0.0, error: str = ""
     ) -> None:
         telemetry.emit(ProgressEvent(
             kind, arrays[index].label, index, total,
-            phase="evaluate", source=source, duration_s=duration_s,
+            phase="evaluate", error=error, duration_s=duration_s,
         ))
 
-    context = evaluation_context(traffic, rows_fn_id=fn_id, extra=extra)
-    pending_by_fp: dict[str, List[int]] = {}
-    fingerprints: List[str] = []
-    for index, array in enumerate(arrays):
-        fp = evaluation_fingerprint(array, context=context)
-        fingerprints.append(fp)
-        if fp in memory:
-            results[index] = memory[fp]
-            _emit(CACHED, index, source="memory")
-            continue
-        if fp in pending_by_fp:
-            pending_by_fp[fp].append(index)
-            continue
-        corrupt_before = cache.corrupt if cache is not None else 0
-        rows = cache.load(fp) if cache is not None else None
-        if cache is not None and cache.corrupt > corrupt_before:
-            _emit(CORRUPT, index, source="disk")
-        if rows is not None:
-            memory[fp] = rows
-            results[index] = rows
-            _emit(CACHED, index, source="disk")
-            continue
-        pending_by_fp[fp] = [index]
-
-    def _record(first_index: int, rows: List[dict], duration_s: float = 0.0) -> None:
-        fp = fingerprints[first_index]
-        memory[fp] = rows
-        if cache is not None:
-            cache.store(fp, rows)
-        for nth, index in enumerate(pending_by_fp[fp]):
-            results[index] = rows
-            _emit(COMPLETED if nth == 0 else CACHED, index,
-                  source="" if nth == 0 else "memory",
-                  duration_s=duration_s if nth == 0 else 0.0)
-
     def _on_outcome(outcome) -> None:
-        first_index = pending_by_fp[outcome.key][0]
+        index = index_of[outcome.key]
         if outcome.status == "ok":
-            _record(first_index, outcome.value, outcome.duration_s)
+            results[index] = outcome.value
+            _emit(COMPLETED, index, outcome.duration_s)
         elif outcome.status == "failed":
             # Deterministic evaluation failures keep their historical
             # semantics: they propagate (there is no on_error knob here).
-            raise EvaluationError(
-                f"{arrays[first_index].label}: {outcome.error}")
+            raise EvaluationError(f"{arrays[index].label}: {outcome.error}")
         else:
             # Transient infrastructure faults exhausted the retry budget:
             # quarantine the block and complete the sweep around it.
-            for nth, index in enumerate(pending_by_fp[outcome.key]):
-                _emit(POISONED, index,
-                      duration_s=outcome.duration_s if nth == 0 else 0.0)
+            _emit(POISONED, index, outcome.duration_s)
 
     def _on_retry(key: str, attempt: int, error: str) -> None:
-        first_index = pending_by_fp[key][0]
-        telemetry.emit(ProgressEvent(
-            RETRIED, arrays[first_index].label, first_index, total,
-            phase="evaluate", error=error))
+        _emit(RETRIED, index_of[key], error=error)
 
-    tasks = [(fp, arrays[indices[0]]) for fp, indices in pending_by_fp.items()]
-    if tasks:
+    if arrays:
         run_resilient(
-            tasks,
+            list(zip(keys, arrays)),
             functools.partial(_apply_rows_fn, rows_fn, traffic, extra),
             workers=workers,
             policy=retry,
@@ -536,7 +468,4 @@ def evaluate_blocks(
             on_outcome=_on_outcome,
             on_retry=_on_retry,
         )
-    return [
-        None if rows is None else [_copy_row(row) for row in rows]
-        for rows in results
-    ]
+    return results

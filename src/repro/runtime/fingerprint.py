@@ -33,18 +33,22 @@ SCHEMA_TAG = "array-cache-v1"
 #: Bump whenever stream generation or the batch engine changes results.
 TRACE_SCHEMA_TAG = "llc-trace-v1"
 
-#: Version tag of the analytical evaluation model + row payload format.
-#: Bump whenever :func:`repro.core.metrics.evaluate` or the flattened
-#: evaluation-row schema changes in a way that invalidates stored rows.
-#: (v2: rows persist with their original key order — cached rows now
-#: reproduce fresh runs' CSV column order byte-for-byte; v1 entries
-#: stored alphabetized keys and must not be served.)
+#: Version tag of the (array x traffic) evaluation key
+#: (:func:`evaluation_fingerprint`).  No store is keyed by it any more:
+#: whole studies are reused instead (:data:`STUDY_SCHEMA_TAG`).
 EVAL_SCHEMA_TAG = "eval-rows-v2"
 
 #: Version tag of the derived-input store: graph BFS access counts and
 #: trained DNN-proxy weights, plus their payload format.  Bump whenever
 #: graph generation, the BFS kernel or proxy training changes results.
 DERIVED_SCHEMA_TAG = "derived-inputs-v1"
+
+#: Version tag of the study store's entry format: one study's result
+#: rows, in table order, with their original key order.  Its entries are
+#: keyed by :func:`repro.runtime.shard.study_fingerprint`, which already
+#: digests every ``repro`` source file, so only a change to the entry
+#: format itself needs a bump.
+STUDY_SCHEMA_TAG = "study-rows-v1"
 
 #: Which source feeds each schema tag — the drift ratchet's ground truth.
 #:
@@ -61,7 +65,7 @@ DERIVED_SCHEMA_TAG = "derived-inputs-v1"
 #: payload builders (:func:`point_payload`, :func:`traffic_entry`, ...)
 #: live here: editing them re-pins (or re-tags) everything downstream.
 SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
-    # arrays/ and clouds/ stores: the characterization model.
+    # arrays/ store: the characterization model.
     "SCHEMA_TAG": (
         "repro.runtime.fingerprint",
         (
@@ -77,7 +81,7 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
         "repro.runtime.fingerprint",
         ("repro.cachesim", "repro.runtime.fingerprint"),
     ),
-    # evaluations/ store: the analytical evaluation + row flattening.
+    # The evaluation key: the analytical evaluation + row flattening.
     "EVAL_SCHEMA_TAG": (
         "repro.runtime.fingerprint",
         ("repro.core.metrics", "repro.runtime.fingerprint"),
@@ -86,6 +90,11 @@ SCHEMA_TAG_SOURCES: Mapping[str, tuple[str, tuple[str, ...]]] = {
     "DERIVED_SCHEMA_TAG": (
         "repro.runtime.fingerprint",
         ("repro.traffic.graph", "repro.dnn", "repro.runtime.fingerprint"),
+    ),
+    # studies/ store: the entry format (the key covers all source).
+    "STUDY_SCHEMA_TAG": (
+        "repro.runtime.fingerprint",
+        ("repro.runtime.cache",),
     ),
     # Cost-ledger entries.
     "COST_SCHEMA_TAG": (
@@ -281,8 +290,8 @@ def evaluation_context(
 
     The traffic block, the row builder's identity, its JSON-able
     parameters (``extra``, e.g. write-buffer scenarios), and the metrics
-    schema tag are shared by every array of one ``evaluate_blocks`` call
-    — hash them once and combine with each array's digest.
+    schema tag are shared by every array evaluated under one block — hash
+    them once and combine with each array's digest.
     """
     return fingerprint_payload({
         "schema": schema_tag,
@@ -300,6 +309,9 @@ def evaluation_fingerprint(
     **kwargs: Any,
 ) -> str:
     """Stable content key for one (array x traffic-block) evaluation.
+
+    No store is keyed by it: the study store reuses whole studies.  It
+    stays because ``suitebench/spans.py`` traces it by name.
 
     ``array`` is keyed by its full characterized content
     (:meth:`~repro.nvsim.result.ArrayCharacterization.to_dict`), not by the

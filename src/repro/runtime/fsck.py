@@ -50,7 +50,7 @@ from repro.runtime.shard import RunManifest
 __all__ = ["FsckReport", "fsck_store", "fsck_cache_dir", "fsck_manifest", "main"]
 
 #: Store subdirectories fsck knows about inside a unified cache root.
-_KNOWN_STORES = ("arrays", "evaluations", "traces", "derived")
+_KNOWN_STORES = ("arrays", "traces", "derived", "studies")
 
 
 @dataclass
@@ -214,8 +214,8 @@ def fsck_cache_dir(
 ) -> List[FsckReport]:
     """Audit every store under a unified cache root.
 
-    Recognizes the standard layout (``arrays/``, ``evaluations/``,
-    ``traces/``, ``derived/``); a directory that itself fans
+    Recognizes the standard layout (``arrays/``, ``traces/``,
+    ``derived/``, ``studies/``); a directory that itself fans
     out into two-hex-digit subdirs is treated as a single bare store.
     ``repair_from`` names a sibling cache root with the same layout.
     """
@@ -271,8 +271,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "cache_dir", nargs="?", default=None,
-        help="unified cache root to audit (arrays/, evaluations/, traces/, "
-             "derived/)",
+        help="unified cache root to audit (arrays/, traces/, derived/, "
+             "studies/)",
     )
     parser.add_argument(
         "--repair-from", metavar="DIR", default=None,

@@ -8,10 +8,14 @@ CLI, and :class:`~repro.core.engine.DSEEngine`.
 
 ``cache_dir`` is the root of a unified on-disk layout::
 
-    <cache_dir>/arrays/       array characterizations
-    <cache_dir>/evaluations/  (array x traffic) evaluation row blocks
-    <cache_dir>/traces/       regenerated LLC traffic traces
-    <cache_dir>/derived/      graph BFS access counts, trained DNN-proxy weights
+    <cache_dir>/arrays/   array characterizations
+    <cache_dir>/traces/   regenerated LLC traffic traces
+    <cache_dir>/derived/  graph BFS access counts, trained DNN-proxy weights
+    <cache_dir>/studies/  whole studies' result rows
+
+A study run looks in ``studies/`` first and, on a hit, skips its
+builder; the three per-point stores serve the runs that miss it (new
+parameters or seed) and :class:`~repro.core.engine.DSEEngine` sweeps.
 
 ``trace_cache_dir`` overrides only the trace store (traces are produced
 by the cache simulator, not the characterizer, so some deployments keep
@@ -30,9 +34,9 @@ from repro.runtime.telemetry import ProgressCallback
 
 #: Subdirectories of ``cache_dir`` used by each persistent store.
 ARRAY_CACHE_SUBDIR = "arrays"
-EVALUATION_CACHE_SUBDIR = "evaluations"
 TRACE_CACHE_SUBDIR = "traces"
 DERIVED_CACHE_SUBDIR = "derived"
+STUDY_CACHE_SUBDIR = "studies"
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ from repro.errors import ReproError
 from repro.runtime.cache import atomic_write_bytes, atomic_write_text
 from repro.runtime.fingerprint import (
     DERIVED_SCHEMA_TAG,
-    EVAL_SCHEMA_TAG,
     SCHEMA_TAG,
+    STUDY_SCHEMA_TAG,
     TRACE_SCHEMA_TAG,
     canonical_json,
     fingerprint_payload,
@@ -74,9 +74,9 @@ def schema_tags() -> dict[str, str]:
     """
     return {
         "arrays": SCHEMA_TAG,
-        "evaluations": EVAL_SCHEMA_TAG,
         "traces": TRACE_SCHEMA_TAG,
         "derived": DERIVED_SCHEMA_TAG,
+        "studies": STUDY_SCHEMA_TAG,
     }
 
 

@@ -36,7 +36,8 @@ FAILED = "failed"
 POISONED = "poisoned"
 #: A cache entry that failed integrity verification on load (bad JSON,
 #: checksum/fingerprint mismatch) and was moved to quarantine.  The
-#: point itself is then recomputed; this event only tracks the damage.
+#: point (or study) itself is then recomputed; this event only tracks
+#: the damage.
 CORRUPT = "corrupt"
 #: A transient point failure that is about to be retried with backoff.
 RETRIED = "retried"
@@ -50,7 +51,7 @@ class ProgressEvent:
     label: str  # human-readable point label
     index: int  # position in the sweep's deterministic order
     total: int  # points in this phase
-    phase: str = "characterize"  # "characterize" | "evaluate" | "trace"
+    phase: str = "characterize"  # "characterize" | "evaluate" | "trace" | "study"
     source: str = ""  # for CACHED: "memory" | "disk"
     error: str = ""  # for FAILED: the error message
     duration_s: float = 0.0  # wall-clock spent computing this point fresh
@@ -96,8 +97,8 @@ _WALL_FIELDS = {
 #: Integer counter fields, in counters() order.
 _COUNTER_FIELDS = (
     "completed", "cached", "failed", "evaluated",
-    "eval_cached", "trace_simulated", "trace_cached",
-    "poisoned", "eval_poisoned", "corrupt", "eval_corrupt",
+    "trace_simulated", "trace_cached",
+    "poisoned", "eval_poisoned", "corrupt",
     "trace_corrupt", "retried", "batched",
 )
 
@@ -111,13 +112,11 @@ class SweepTelemetry:
     cached: int = 0  # characterize-phase points served from a cache
     failed: int = 0
     evaluated: int = 0  # evaluate-phase (array x traffic) blocks computed fresh
-    eval_cached: int = 0  # evaluate-phase blocks served from a cache
     trace_simulated: int = 0  # trace-phase LLC regenerations run fresh
     trace_cached: int = 0  # trace-phase regenerations served from a cache
     poisoned: int = 0  # characterize-phase points that exhausted retries
     eval_poisoned: int = 0  # evaluate-phase blocks that exhausted retries
-    corrupt: int = 0  # characterize-phase cache entries quarantined on load
-    eval_corrupt: int = 0  # evaluate-phase cache entries quarantined on load
+    corrupt: int = 0  # array- and study-store entries quarantined on load
     trace_corrupt: int = 0  # trace-phase cache entries quarantined on load
     retried: int = 0  # transient point failures retried (all phases)
     batched: int = 0  # characterize-phase points computed via the batch engine
@@ -170,8 +169,6 @@ class SweepTelemetry:
         """Update counters for one event.  Caller holds the lock."""
         if event.kind == COMPLETED and event.phase == "evaluate":
             self.evaluated += 1
-        elif event.kind == CACHED and event.phase == "evaluate":
-            self.eval_cached += 1
         elif event.kind == COMPLETED and event.phase == "trace":
             self.trace_simulated += 1
         elif event.kind == CACHED and event.phase == "trace":
@@ -192,9 +189,7 @@ class SweepTelemetry:
                 self.poisoned += 1
             self.poisoned_failures.append(event)
         elif event.kind == CORRUPT:
-            if event.phase == "evaluate":
-                self.eval_corrupt += 1
-            elif event.phase == "trace":
+            if event.phase == "trace":
                 self.trace_corrupt += 1
             else:
                 self.corrupt += 1
@@ -271,11 +266,8 @@ class SweepTelemetry:
             f"{self.total} points: {self.completed} characterized, "
             f"{self.cached} cached, {self.failed} failed"
         )
-        if self.evaluated or self.eval_cached:
-            text += (
-                f"; {self.evaluated} blocks evaluated, "
-                f"{self.eval_cached} served from cache"
-            )
+        if self.evaluated:
+            text += f"; {self.evaluated} blocks evaluated"
         if self.trace_simulated or self.trace_cached:
             text += (
                 f"; {self.trace_simulated} traces simulated, "
@@ -288,9 +280,9 @@ class SweepTelemetry:
             )
         if self.retried:
             text += f"; {self.retried} transient retries"
-        if self.corrupt or self.eval_corrupt or self.trace_corrupt:
+        if self.corrupt or self.trace_corrupt:
             text += (
-                f"; {self.corrupt + self.eval_corrupt + self.trace_corrupt} "
+                f"; {self.corrupt + self.trace_corrupt} "
                 f"corrupt cache entries quarantined"
             )
         if self.wall_s > 0:

@@ -1,8 +1,8 @@
 """DSE-as-a-service: an asyncio HTTP/JSON front-end over the cache substrate.
 
-The batch stack answers "run this study" by computing (or re-reading)
-every sweep point through the persistent characterization / evaluation /
-trace caches.  This package puts a long-lived server in front of that
+The batch stack answers "run this study" by re-reading the whole study
+from the persistent study store, or by computing it through the
+characterization / trace / derived-input caches.  This package puts a long-lived server in front of that
 substrate so *many* clients share one cache and one compute pool:
 
 * :mod:`repro.service.requests` — submit payloads resolved into

@@ -338,10 +338,7 @@ class JobManager:
             telemetry = job.telemetry
             fresh_work += telemetry.fresh_work
             poisoned += telemetry.poisoned + telemetry.eval_poisoned
-            corrupt += (
-                telemetry.corrupt + telemetry.eval_corrupt
-                + telemetry.trace_corrupt
-            )
+            corrupt += telemetry.corrupt + telemetry.trace_corrupt
             point_retries += telemetry.retried
             job_retries += job.retries
         return {

@@ -69,7 +69,12 @@ class StudyQuery:
 
 @dataclass(frozen=True)
 class SweepQuery:
-    """A raw-sweep submission (the ``nvmexplorer <config.json>`` shape)."""
+    """A raw-sweep submission (the ``nvmexplorer <config.json>`` shape).
+
+    It runs through :class:`~repro.core.engine.DSEEngine`, which reuses
+    characterizations from the ``arrays/`` store and recomputes every
+    evaluation; the ``studies/`` store serves registry studies only.
+    """
 
     raw: Mapping[str, Any]  # validated, reserved keys stripped
 
@@ -83,9 +88,10 @@ class SweepQuery:
         """Content key over the canonical config + schema tags + source.
 
         The raw config (not the parsed form) is hashed: two textually
-        different configs that parse identically still coalesce at the
-        point level through the engine's own caches, while keeping this
-        key cheap and obviously stable.
+        different configs that parse identically still share their
+        characterizations through the engine's ``arrays/`` store (their
+        evaluations are recomputed), while keeping this key cheap and
+        obviously stable.
         """
         payload = {
             "sweep": json.loads(canonical_json(dict(self.raw))),

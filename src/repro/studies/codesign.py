@@ -68,8 +68,8 @@ def area_efficiency_study(
     evaluated under a spread of traffic patterns; rows carry area
     efficiency so callers can apply the paper's "maximum area efficiency"
     filter and inspect the latency structure.  The (organization x
-    traffic) evaluation layer runs through the engine's block cache, so
-    warm re-runs skip it.
+    traffic) evaluation layer runs through the engine's block fan-out; a
+    warm re-run is served whole from the study store instead.
     """
     engine = engine_for(runtime)
     traffic = graph_envelope_sweep(points_per_axis=traffic_points)

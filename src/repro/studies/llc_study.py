@@ -38,8 +38,8 @@ def regenerated_traffic(
 
     Traces persist under the runtime's trace cache; one ``phase="trace"``
     progress event fires per workload (``completed`` = simulated fresh,
-    ``cached`` = served from disk), so warm-run telemetry accounts for
-    trace regeneration exactly like characterizations and evaluations.
+    ``cached`` = served from disk), so telemetry accounts for trace
+    regeneration exactly like characterizations.
     """
     # Imported lazily: the simulator pulls in numpy and the batch engine,
     # which table-driven traffic never needs.

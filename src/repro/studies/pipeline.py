@@ -6,9 +6,11 @@ default parameters, report options, and the figure it reproduces — and
 The shared :class:`~repro.runtime.options.RuntimeOptions` (workers,
 cache_dir, trace_cache_dir, on_error, progress, seed) is threaded down
 through :class:`~repro.core.engine.DSEEngine` by every builder, so
-parallelism and the persistent characterization / evaluation / trace
+parallelism and the persistent characterization / trace / derived-input
 caches work identically across the whole suite — no signature probing,
-no per-study shims.
+no per-study shims.  With a ``cache_dir``, :meth:`StudySpec.run` first
+looks the whole study up in the ``studies/`` store and skips the
+builder on a hit.
 
 The registry is the single source of truth for the study CLI
 (``python -m repro.config.cli run-study <name>``), the summary driver
@@ -25,8 +27,10 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.results.table import ResultTable
+from repro.runtime.cache import study_cache
 from repro.runtime.options import RuntimeOptions, ensure_runtime
-from repro.runtime.telemetry import SweepTelemetry
+from repro.runtime.shard import study_fingerprint
+from repro.runtime.telemetry import CORRUPT, ProgressEvent, SweepTelemetry
 from repro.studies.arrays import dnn_buffer_arrays, llc_arrays, optimization_target_study
 from repro.studies.codesign import area_efficiency_study, back_gated_fefet_study
 from repro.studies.dnn_study import continuous_study, intermittent_study
@@ -104,11 +108,33 @@ class StudySpec:
         outcome (and still forwarded to ``runtime.progress``).  Under
         ``on_error="skip"`` a framework error becomes a failed outcome
         instead of an exception.
+
+        With a ``runtime.cache_dir``, the study's rows are looked up in
+        the ``studies/`` store under
+        :func:`~repro.runtime.shard.study_fingerprint` (parameters x seed
+        x schema tags x source digest).  A hit skips the builder and
+        returns empty telemetry, so it reports no fresh work; a corrupt
+        entry is quarantined, counted in ``corrupt``, and recomputed.  A
+        fresh table is stored unless a point was poisoned or failed.
         """
         runtime = ensure_runtime(runtime)
         telemetry = SweepTelemetry(runtime.progress)
         kwargs = {**self.params, **overrides}
         start = time.perf_counter()
+        store = study_cache(runtime)
+        if store is not None:
+            key = study_fingerprint(self, overrides=overrides, seed=runtime.seed)
+            rows = store.load(key)
+            if store.corrupt:
+                telemetry.emit(ProgressEvent(
+                    CORRUPT, self.name, 0, 1, phase="study", source="disk"))
+            if rows is not None:
+                return StudyOutcome(
+                    name=self.name,
+                    table=ResultTable(rows),
+                    telemetry=telemetry,
+                    elapsed_s=time.perf_counter() - start,
+                )
         table = None
         error = None
         try:
@@ -117,6 +143,12 @@ class StudySpec:
             if runtime.on_error != "skip":
                 raise
             error = str(exc)
+        if (
+            store is not None
+            and table is not None
+            and not (telemetry.failed or telemetry.poisoned or telemetry.eval_poisoned)
+        ):
+            store.store(key, list(table))
         return StudyOutcome(
             name=self.name,
             table=table,
@@ -284,10 +316,6 @@ class StudyRequest:
     def fingerprint(self) -> str:
         """Content key covering params, seed, cache schema tags, and the
         source revision (:func:`~repro.runtime.shard.study_fingerprint`)."""
-        # Imported lazily: shard builds on the runtime package only, but
-        # keeping pipeline import-light preserves the existing layering.
-        from repro.runtime.shard import study_fingerprint
-
         return study_fingerprint(self.spec, overrides=self.params, seed=self.seed)
 
     def run(self, runtime: Optional[RuntimeOptions] = None) -> StudyOutcome:

@@ -7,15 +7,15 @@ offline equivalent of the artifact's ``output/results/*.csv`` plus the
 web dashboard snapshots.
 
 Runtime options apply uniformly to **all** studies: ``--workers`` fans
-sweeps over a process pool, ``--cache-dir`` persists array
-characterizations, (array x traffic) evaluation blocks, and regenerated
-LLC traces (``--trace-cache-dir`` relocates just the traces), ``--seed``
-pins every stochastic component.  A warm second run against the same
-cache directory performs zero characterizations and zero evaluation
-blocks; ``--expect-warm`` turns that into an exit-code assertion for CI.
-A warm run still recomputes Figure 12's organization clouds
-(:func:`repro.nvsim.characterize.all_organizations`), which are cheaper
-to rebuild than to load; they are never counted as fresh work.
+sweeps over a process pool, ``--cache-dir`` persists whole studies'
+result rows plus the array characterizations, regenerated LLC traces
+and derived inputs a study with new parameters or a new seed can still
+share (``--trace-cache-dir`` relocates just the traces), ``--seed`` pins
+every stochastic component.  A warm second run against the same cache
+directory serves every study from ``<cache-dir>/studies/`` and so
+performs zero characterizations, evaluation blocks and trace
+simulations; ``--expect-warm`` turns that into an exit-code assertion
+for CI.
 
 Three suite-scale features build on :mod:`repro.runtime.shard`:
 
@@ -348,7 +348,7 @@ def _table_status(entry: ManifestEntry) -> str:
 def _status_table(entries: Sequence[ManifestEntry]) -> str:
     """The per-study pass/fail table, rendered from manifest entries."""
     lines = [
-        "| study | status | rows | time_s | chars fresh/cached | evals fresh/cached |",
+        "| study | status | rows | time_s | chars fresh/cached | evals fresh |",
         "|---|---|---|---|---|---|",
     ]
     for entry in entries:
@@ -356,7 +356,7 @@ def _status_table(entries: Sequence[ManifestEntry]) -> str:
         lines.append(
             f"| {entry.name} | {_table_status(entry)} | {entry.rows} "
             f"| {entry.elapsed_s:.2f} | {t.completed}/{t.cached} "
-            f"| {t.evaluated}/{t.eval_cached} |"
+            f"| {t.evaluated} |"
         )
     return "\n".join(lines)
 
@@ -444,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
-        help="persistent cache root (characterizations, evaluations, traces)",
+        help="persistent cache root (studies, characterizations, traces, "
+             "derived inputs)",
     )
     parser.add_argument(
         "--trace-cache-dir", default=None, metavar="PATH",

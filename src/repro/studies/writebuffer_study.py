@@ -30,9 +30,8 @@ STUDY_CAPACITY = mb(8)
 def _scenario_rows(array, traffic, extra: Any) -> list[dict]:
     """Block evaluator: every (traffic, write-buffer scenario) row.
 
-    ``extra`` is the JSON-able scenario list (it participates in the
-    evaluation-cache fingerprint, so changing the scenario sweep
-    invalidates cached blocks).
+    ``extra`` is the JSON-able scenario list; it is picklable, so the
+    block runs unchanged in a pool worker.
     """
     scenarios = [WriteBufferConfig(**config) for config in extra]
     rows = []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.cache import QUARANTINE_SUBDIR, EvaluationCache
+from repro.runtime.cache import QUARANTINE_SUBDIR, StudyCache
 from repro.runtime.fingerprint import fingerprint_payload
 from repro.runtime.fsck import (
     _KNOWN_STORES,
@@ -29,7 +29,7 @@ CI_CACHE_ACTION = (
 
 def _populate(root, count=3, salt="fsck"):
     """Write ``count`` valid checksummed entries; returns the fingerprints."""
-    cache = EvaluationCache(root)
+    cache = StudyCache(root)
     fingerprints = []
     for i in range(count):
         fp = fingerprint_payload({"salt": salt, "i": i})
@@ -108,7 +108,7 @@ class TestFsckStore:
         path = tmp_path / fp[:2] / f"{fp}.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
-            "schema": EvaluationCache(tmp_path).schema_tag, "fingerprint": fp,
+            "schema": StudyCache(tmp_path).schema_tag, "fingerprint": fp,
             "checksum": "0" * 64, "result": [{"row": 1}],
         }))
         _populate(tmp_path, count=1)
@@ -141,7 +141,7 @@ class TestFsckStore:
         assert restored.exists()
         # the restored entry verifies clean and the store loads it
         assert fsck_store(primary).clean
-        cache = EvaluationCache(primary)
+        cache = StudyCache(primary)
         assert cache.load(fingerprints[0]) == [{"row": 0}]
 
     def test_missing_directory_is_a_problem(self, tmp_path):
@@ -153,10 +153,10 @@ class TestFsckStore:
 class TestFsckCacheDir:
     def test_standard_layout_audits_every_store(self, tmp_path):
         _populate(tmp_path / "arrays", salt="a")
-        _populate(tmp_path / "evaluations", salt="e")
         _populate(tmp_path / "traces", salt="t")
+        _populate(tmp_path / "studies", salt="s")
         reports = fsck_cache_dir(tmp_path)
-        assert [r.root.name for r in reports] == ["arrays", "evaluations", "traces"]
+        assert [r.root.name for r in reports] == ["arrays", "traces", "studies"]
         assert all(r.clean for r in reports)
 
     def test_bare_store_fallback(self, tmp_path):

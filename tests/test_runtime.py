@@ -15,18 +15,18 @@ from repro.errors import CharacterizationError, ConfigError
 from repro.nvsim.result import ArrayCharacterization, OptimizationTarget
 from repro.runtime import (
     CharacterizationCache,
-    EvaluationCache,
     RuntimeOptions,
+    StudyCache,
     SweepPoint,
     SweepTelemetry,
     characterize_points,
     evaluate_blocks,
-    evaluation_fingerprint,
     point_fingerprint,
     sweep_points,
 )
 from repro.runtime.cache import encode_entry
 from repro.runtime.executor import rows_fn_id
+from repro.runtime.fingerprint import evaluation_fingerprint
 from repro.traffic import TrafficPattern
 from repro.units import mb
 
@@ -275,7 +275,7 @@ class TestEntryFormat:
     """Header line + body: damage anywhere is corrupt, not a miss."""
 
     def test_header_checksums_the_body_bytes(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         cache.store("ab" * 32, [{"zeta": 1.5, "alpha": None}])
         head, body = cache.path_for("ab" * 32).read_bytes().split(b"\n", 1)
         header = json.loads(head)
@@ -287,7 +287,7 @@ class TestEntryFormat:
 
     @pytest.mark.parametrize("damage", sorted(_ENTRY_DAMAGE))
     def test_damaged_entry_is_corrupt_and_quarantined(self, tmp_path, damage):
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         fp = "cd" * 32
         cache.store(fp, [{"row": 1, "name": "x"}])
         path = cache.path_for(fp)
@@ -301,7 +301,7 @@ class TestEntryFormat:
         assert cache.load(fp) == [{"row": 1, "name": "x"}]
 
     def test_fingerprint_mismatch_is_corrupt(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         cache.store("ab" * 32, [{"row": 1}])
         moved = cache.path_for("ac" * 32)
         moved.parent.mkdir(parents=True)
@@ -310,7 +310,7 @@ class TestEntryFormat:
         assert cache.corrupt == 1
 
     def test_old_format_entry_is_a_miss_then_overwritten(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         fp = "ef" * 32
         path = cache.path_for(fp)
         path.parent.mkdir(parents=True)
@@ -446,12 +446,12 @@ class TestEvaluationFingerprint:
                 == evaluation_fingerprint(rebuilt, traffic, rows_fn_id=fn))
 
 
-class TestEvaluationCache:
+class TestStudyCache:
     def rows(self, stt_array_1mb):
         return evaluation_rows(stt_array_1mb, _traffic_pair())
 
     def test_miss_then_hit_roundtrips_rows(self, tmp_path, stt_array_1mb):
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         rows = self.rows(stt_array_1mb)
         fp = evaluation_fingerprint(
             stt_array_1mb, _traffic_pair(), rows_fn_id=rows_fn_id(evaluation_rows))
@@ -464,21 +464,21 @@ class TestEvaluationCache:
 
     def test_schema_tag_bump_invalidates(self, tmp_path, stt_array_1mb):
         rows = self.rows(stt_array_1mb)
-        EvaluationCache(tmp_path, schema_tag="eval-rows-v1").store("ab" * 32, rows)
-        bumped = EvaluationCache(tmp_path, schema_tag="eval-rows-v2")
+        StudyCache(tmp_path, schema_tag="study-rows-v0").store("ab" * 32, rows)
+        bumped = StudyCache(tmp_path, schema_tag="study-rows-v1")
         assert bumped.load("ab" * 32) is None
 
     def test_row_key_order_survives_the_roundtrip(self, tmp_path):
         # CSV column order is taken from row insertion order, so cached
         # rows must preserve it to reproduce fresh CSVs byte-for-byte.
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         rows = [{"zeta": 1, "alpha": 2, "mid": 3}]
         cache.store("ef" * 32, rows)
         loaded = cache.load("ef" * 32)
         assert [list(r) for r in loaded] == [["zeta", "alpha", "mid"]]
 
     def test_malformed_payload_is_quarantined(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = StudyCache(tmp_path)
         cache.store("cd" * 32, [{"a": 1}])
         # Corrupt the payload into a non-list: load must reject and
         # quarantine the entry (checksum no longer matches either).
@@ -521,65 +521,28 @@ class TestEvaluateBlocks:
         assert len(serial) == 2
         assert [r["workload"] for r in serial[0]] == ["read-heavy", "write-heavy"]
 
-    def test_duplicate_blocks_coalesced(self, stt_array_1mb):
-        telemetry = SweepTelemetry()
-        blocks = evaluate_blocks(
-            [stt_array_1mb, stt_array_1mb], _traffic_pair(), telemetry=telemetry
-        )
-        assert blocks[0] == blocks[1]
-        assert telemetry.evaluated == 1
-        assert telemetry.eval_cached == 1
-
-    def test_disk_cache_warm_rerun(self, tmp_path, stt_array_1mb):
-        cache = EvaluationCache(tmp_path)
-        traffic = _traffic_pair()
-        cold = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
-        assert cache.stores == 1
-        telemetry = SweepTelemetry()
-        warm = evaluate_blocks(
-            [stt_array_1mb], traffic, cache=cache, telemetry=telemetry)
-        assert telemetry.evaluated == 0
-        assert telemetry.eval_cached == 1
-        assert warm == cold
-
     def test_returned_rows_are_copies(self, stt_array_1mb):
-        memory = {}
         traffic = _traffic_pair()
-        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory)
+        first = evaluate_blocks([stt_array_1mb], traffic)
         first[0][0]["annotation"] = "mutated"
-        second = evaluate_blocks([stt_array_1mb], traffic, memory=memory)
+        second = evaluate_blocks([stt_array_1mb], traffic)
         assert "annotation" not in second[0][0]
 
-    def test_returned_rows_are_deep_copies(self, tmp_path, stt_array_1mb):
-        """Regression: mutating *nested* values of a returned row must not
-        corrupt the in-memory memo or the persisted cache block (the old
-        shallow per-row dict() copy aliased nested lists/dicts)."""
-        cache = EvaluationCache(tmp_path)
-        memory = {}
+    def test_returned_rows_are_deep_copies(self, stt_array_1mb):
+        """Mutating *nested* values of a returned row never reaches a
+        later call's rows."""
         traffic = _traffic_pair()
-        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                cache=cache, rows_fn=_nested_rows)
+        first = evaluate_blocks([stt_array_1mb], traffic, rows_fn=_nested_rows)
         first[0][0]["nested"]["value"] = 999
         first[0][0]["tags"].append("mutated")
-        # Served from the in-memory memo: nested values untouched.
-        second = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                 cache=cache, rows_fn=_nested_rows)
+        second = evaluate_blocks([stt_array_1mb], traffic, rows_fn=_nested_rows)
         assert second[0][0]["nested"] == {"value": 1}
         assert second[0][0]["tags"] == ["a"]
-        # Served from the on-disk cache (fresh memo): also untouched.
-        third = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
-                                rows_fn=_nested_rows)
-        assert third[0][0]["nested"] == {"value": 1}
-        assert third[0][0]["tags"] == ["a"]
 
-    def test_flat_rows_are_copies_too(self, tmp_path, stt_array_1mb):
-        """Flat rows take the shallow dict() copy; it must still be a copy."""
-        cache = EvaluationCache(tmp_path)
-        memory = {}
+    def test_flat_rows_are_copies_too(self, stt_array_1mb):
         traffic = _traffic_pair()
-        first = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                cache=cache)
-        # The default evaluator's rows are flat: the shallow path is taken.
+        first = evaluate_blocks([stt_array_1mb], traffic)
+        # The default evaluator's rows are flat.
         assert all(
             isinstance(value, (str, int, float, bool, type(None)))
             for row in first[0] for value in row.values()
@@ -588,24 +551,25 @@ class TestEvaluateBlocks:
         for row in first[0]:
             row["tech"] = "mutated"
             row["annotation"] = 1
-        assert [dict(row) for row in memory[next(iter(memory))]] == expected
-        second = evaluate_blocks([stt_array_1mb], traffic, memory=memory,
-                                 cache=cache)
-        assert second[0] == expected
-        third = evaluate_blocks([stt_array_1mb], traffic, cache=cache)
-        assert third[0] == expected
+        assert evaluate_blocks([stt_array_1mb], traffic)[0] == expected
 
-    def test_custom_rows_fn_and_extra_key_separately(self, tmp_path,
-                                                     stt_array_1mb):
-        cache = EvaluationCache(tmp_path)
+    def test_duplicate_arrays_are_each_evaluated(self, stt_array_1mb):
+        telemetry = SweepTelemetry()
+        blocks = evaluate_blocks(
+            [stt_array_1mb, stt_array_1mb], _traffic_pair(), telemetry=telemetry
+        )
+        assert blocks[0] == blocks[1]
+        assert blocks[0] is not blocks[1]
+        assert telemetry.evaluated == 2
+
+    def test_custom_rows_fn_and_extra_key_separately(self, stt_array_1mb):
         traffic = _traffic_pair()
-        a = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+        a = evaluate_blocks([stt_array_1mb], traffic,
                             rows_fn=_tagged_rows, extra="a")
-        b = evaluate_blocks([stt_array_1mb], traffic, cache=cache,
+        b = evaluate_blocks([stt_array_1mb], traffic,
                             rows_fn=_tagged_rows, extra="b")
         assert a[0][0]["tag"] == "a"
         assert b[0][0]["tag"] == "b"
-        assert cache.stores == 2  # different extras never share an entry
 
 
 class TestRuntimeOptions:
@@ -638,9 +602,7 @@ class TestRuntimeOptions:
         assert engine.workers == 3
         assert engine.on_error == "skip"
         assert engine.cache is not None
-        assert engine.eval_cache is not None
         assert engine.cache.root == tmp_path / "arrays"
-        assert engine.eval_cache.root == tmp_path / "evaluations"
 
 
 def small_spec(cells, traffic=()):
@@ -698,20 +660,19 @@ class TestEngineRuntime:
         assert len(table) == 1
         assert engine.last_telemetry.failed == 1
 
-    def test_warm_rerun_skips_evaluation_blocks(self, tmp_path,
-                                                stt_optimistic, sram16,
-                                                simple_traffic):
+    def test_warm_rerun_reuses_arrays_and_recomputes_evaluations(
+            self, tmp_path, stt_optimistic, sram16, simple_traffic):
         spec = small_spec([stt_optimistic, sram16], traffic=[simple_traffic])
         cold_engine = DSEEngine(cache_dir=tmp_path)
         cold = cold_engine.run(spec)
         assert cold_engine.last_telemetry.evaluated == 8
-        assert cold_engine.eval_cache.stores == 8
         warm_engine = DSEEngine(cache_dir=tmp_path)
         warm = warm_engine.run(spec)
         assert warm_engine.last_telemetry.completed == 0
-        assert warm_engine.last_telemetry.evaluated == 0
-        assert warm_engine.last_telemetry.eval_cached == 8
-        # Cross-run parity: cached rows identical to freshly evaluated ones.
+        assert warm_engine.last_telemetry.cached == 8
+        assert warm_engine.last_telemetry.evaluated == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["arrays"]
+        # Cross-run parity: rows from cached arrays equal the cold run's.
         assert list(warm) == list(cold)
 
     def test_progress_callback_sees_every_point(self, stt_optimistic):

@@ -102,7 +102,7 @@ def test_source_digest_is_stable_hex():
 
 
 def test_schema_tags_cover_every_cache_layer():
-    assert set(schema_tags()) == {"arrays", "evaluations", "traces", "derived"}
+    assert set(schema_tags()) == {"arrays", "traces", "derived", "studies"}
 
 
 # --- manifests ------------------------------------------------------------

@@ -129,8 +129,9 @@ WARM_SUBSET = [
 
 
 def test_warm_summary_run_recomputes_nothing(tmp_path):
-    """Acceptance: a warm second run performs zero characterizations and
-    zero (array x traffic) evaluations, verified by telemetry counters."""
+    """Acceptance: a warm second run performs zero characterizations,
+    zero (array x traffic) evaluations and zero trace simulations,
+    verified by telemetry counters."""
     runtime = RuntimeOptions(cache_dir=tmp_path / "cache")
     cold = run_all(tmp_path / "out1", runtime=runtime, only=WARM_SUBSET)
     assert cold.ok
@@ -145,14 +146,23 @@ def test_warm_summary_run_recomputes_nothing(tmp_path):
     assert warm_telemetry.completed == 0, "warm run re-characterized arrays"
     assert warm_telemetry.evaluated == 0, "warm run re-evaluated blocks"
     assert warm_telemetry.trace_simulated == 0, "warm run re-simulated traces"
-    assert warm_telemetry.cached > 0
-    assert warm_telemetry.eval_cached > 0
-    assert warm_telemetry.trace_cached > 0
     assert warm.warm
 
     # Cross-run parity: cached rows identical to freshly computed ones.
     for name, table in cold.tables.items():
         assert list(warm.tables[name]) == list(table), name
+
+    # Runs that miss the study store still share points: another seed
+    # reuses every characterization, another LLC capacity every trace.
+    reseeded = run_all(tmp_path / "out3",
+                       runtime=dataclasses.replace(runtime, seed=7),
+                       only=WARM_SUBSET)
+    assert reseeded.ok
+    assert reseeded.telemetry.completed == 0
+    assert reseeded.telemetry.cached > 0
+    resized = REGISTRY["ext_synthetic_llc"].run(runtime, capacity_bytes=8 << 20)
+    assert resized.telemetry.trace_simulated == 0
+    assert resized.telemetry.trace_cached > 0
 
 
 def test_main_expect_warm(tmp_path, capsys):
