@@ -18,7 +18,8 @@ Each shard records what it did in a :class:`RunManifest` written next to
 its outputs (``manifest.json``): one :class:`ManifestEntry` per study
 with status, row count, telemetry counters, artifact paths, and the
 study's content fingerprint (:func:`study_fingerprint` — parameters ×
-cache schema tags × an mtime-independent source digest).  Manifests
+cache schema tags × an mtime-independent source digest × the host's
+numpy version and machine).  Manifests
 serve two consumers:
 
 * :func:`merge_manifests` combines per-shard manifests into the
@@ -33,10 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.runtime.cache import atomic_write_bytes, atomic_write_text
@@ -160,6 +164,18 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
+def host_environment() -> dict[str, str]:
+    """The host's numpy version and machine architecture.
+
+    A study's rows depend on them beyond the source: trained DNN-proxy
+    weights and random streams can differ across numpy releases and
+    architectures, so a stored study from another numpy or machine must
+    not be served (``tests/test_golden_suite.py`` pins its absolute
+    digests against the same pair).
+    """
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
 def study_fingerprint(
     spec,
     overrides: Optional[Mapping[str, Any]] = None,
@@ -169,9 +185,11 @@ def study_fingerprint(
 
     Everything that can change the study's artifacts participates: the
     spec's identity and effective parameters, the report options, the
-    runtime seed override, every cache schema tag, and the source
-    digest.  Matching fingerprints mean a re-run would reproduce the
-    existing artifacts, so the incremental summary may skip it.
+    runtime seed override, every cache schema tag, the source digest,
+    and the host's numpy version and machine (:func:`host_environment`).
+    Matching fingerprints mean a re-run would reproduce the existing
+    artifacts, so the incremental summary may skip it and the
+    ``studies/`` store may serve its rows.
     """
     params = {**dict(spec.params), **dict(overrides or {})}
     try:
@@ -184,6 +202,7 @@ def study_fingerprint(
             "seed": seed,
             "schema_tags": schema_tags(),
             "source": source_digest(),
+            "environment": host_environment(),
         }
     except TypeError as exc:
         raise ShardError(

@@ -112,10 +112,11 @@ class StudySpec:
         With a ``runtime.cache_dir``, the study's rows are looked up in
         the ``studies/`` store under
         :func:`~repro.runtime.shard.study_fingerprint` (parameters x seed
-        x schema tags x source digest).  A hit skips the builder and
-        returns empty telemetry, so it reports no fresh work; a corrupt
-        entry is quarantined, counted in ``corrupt``, and recomputed.  A
-        fresh table is stored unless a point was poisoned or failed.
+        x schema tags x source digest x numpy version and machine).  A
+        hit skips the builder and returns empty telemetry, so it reports
+        no fresh work; a corrupt entry is quarantined, counted in
+        ``corrupt``, and recomputed.  A fresh table is stored unless a
+        point was poisoned or failed.
         """
         runtime = ensure_runtime(runtime)
         telemetry = SweepTelemetry(runtime.progress)

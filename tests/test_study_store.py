@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import platform
 from dataclasses import replace
+
+import numpy as np
 
 from repro.runtime.cache import StudyCache, study_cache
 from repro.runtime.chaos import ChaosOptions
@@ -60,6 +63,24 @@ def test_changed_override_or_seed_is_a_miss(tmp_path):
     assert other_seed.telemetry.cached > 0
     assert other_seed.telemetry.completed == 0
     assert len(study_cache(runtime)) == 3
+
+
+def test_other_numpy_or_machine_is_a_miss(tmp_path, monkeypatch):
+    # Stored rows from another numpy release or architecture may differ
+    # from what this host computes, so they must not be served.
+    runtime, _ = _fill(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "__version__", "0.0.0-other")
+        other_numpy = SPEC.run(runtime, **SMALL)
+    assert other_numpy.telemetry.cached > 0  # rebuilt from arrays/
+    with monkeypatch.context() as patch:
+        patch.setattr(platform, "machine", lambda: "other-machine")
+        other_machine = SPEC.run(runtime, **SMALL)
+    assert other_machine.telemetry.cached > 0
+    assert len(study_cache(runtime)) == 3
+    # Back on this host's numpy and machine, the fill entry still hits.
+    home = SPEC.run(runtime, **SMALL)
+    assert home.telemetry.counters() == SweepTelemetry().counters()
 
 
 def test_poisoned_outcome_is_not_stored(tmp_path):
