@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
+
+_NONE = type(None)
+#: Cell types whose equal values render alike (``-0.0`` aside), so a
+#: column holding one of them formats each distinct value once.
+_MEMO_TYPES = frozenset({str, float, int, bool})
+#: Rows rendered per block: bounds the cell vectors alive at once.
+_BLOCK_ROWS = 1024
 
 
 class ResultTable:
@@ -38,15 +47,11 @@ class ResultTable:
     @property
     def columns(self) -> list[str]:
         """Union of keys across records, in first-seen order."""
-        seen: dict[str, None] = {}
-        for record in self._records:
-            for key in record:
-                seen.setdefault(key, None)
-        return list(seen)
+        return list(dict.fromkeys(chain.from_iterable(self._records)))
 
     def column(self, name: str, default: Any = None) -> list[Any]:
         """All values of one column."""
-        return [r.get(name, default) for r in self._records]
+        return _values(self._records, name, default)
 
     def append(self, record: Mapping[str, Any]) -> None:
         self._records.append(dict(record))
@@ -128,21 +133,27 @@ class ResultTable:
     # --- export ----------------------------------------------------------------
 
     def to_csv(self, path: Optional[str] = None) -> str:
-        """Render as CSV; write to ``path`` when given."""
+        """Render as CSV; write to ``path`` when given.
+
+        Cells are formatted column-wise (:func:`_rendered_rows`) and
+        joined (:func:`_joined_csv`), unless ``csv.writer`` must quote a
+        field: then it writes the formatted cells.
+        """
         columns = self.columns
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for record in self._records:
-            writer.writerow({c: record.get(c, "") for c in columns})
-        text = buffer.getvalue()
+        text = _joined_csv(self._records, columns)
+        if text is None:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer)
+            writer.writerow(columns)
+            writer.writerows(_rendered_rows(self._records, columns, _csv_cell, str))
+            text = buffer.getvalue()
         if path is not None:
             with open(path, "w", newline="") as handle:
                 handle.write(text)
         return text
 
     def to_markdown(self, float_format: str = "{:.4g}") -> str:
-        """Render as a GitHub-flavored markdown table."""
+        """Render as a GitHub-flavored markdown table, column-wise."""
         columns = self.columns
         if not columns:
             return "(empty table)"
@@ -154,11 +165,10 @@ class ResultTable:
 
         header = "| " + " | ".join(columns) + " |"
         rule = "|" + "|".join("---" for _ in columns) + "|"
-        rows = [
-            "| " + " | ".join(fmt(r.get(c)) for c in columns) + " |"
-            for r in self._records
-        ]
-        return "\n".join([header, rule, *rows])
+        rows = _rendered_rows(self._records, columns, fmt, float_format.format)
+        return "\n".join(
+            [header, rule, *("| " + " | ".join(row) + " |" for row in rows)]
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
@@ -184,3 +194,100 @@ def _coerce(value: Optional[str]) -> Any:
     if value in ("True", "False"):
         return value == "True"
     return value
+
+
+def _values(
+    records: list[dict[str, Any]], name: str, default: Any = None
+) -> list[Any]:
+    """One column's values, ``default`` where a record lacks the key."""
+    try:
+        return list(map(itemgetter(name), records))
+    except KeyError:
+        return [record.get(name, default) for record in records]
+
+
+def _csv_cell(value: Any) -> str:
+    """One field as ``csv.writer`` writes it, before any quoting."""
+    if value is None:
+        return ""
+    return str.__str__(value) if isinstance(value, str) else str(value)
+
+
+def _format_column(
+    values: list[Any],
+    cell: Callable[[Any], str],
+    float_text: Callable[[float], str],
+    memos: dict[type, dict[Any, str]],
+) -> list[str]:
+    """``[cell(v) for v in values]``, formatting each distinct value once.
+
+    A column of one exact ``_MEMO_TYPES`` type (``None`` aside, which
+    ``cell`` renders ``""``) renders floats with ``float_text`` and the
+    rest with ``str``, through ``memos[type]``, which persists across a
+    column's blocks.  ``1 == 1.0 == True`` render differently, so a
+    mixed column renders cell by cell; ``0.0 == -0.0`` too, so zeros
+    always render directly.  Mostly distinct values skip the memo.
+    """
+    kinds = set(map(type, values))
+    kind = next(iter(kinds - {_NONE}), _NONE)
+    if kinds - {_NONE, kind} or kind not in _MEMO_TYPES:
+        return list(map(cell, values))
+    if kind is str and _NONE not in kinds:
+        return values
+    render = float_text if kind is float else str
+    distinct = set(values)
+    if _NONE not in kinds and len(distinct) * 2 > len(values):
+        return list(map(render, values))
+    memo = memos.setdefault(kind, {None: ""})
+    distinct.difference_update(memo)
+    memo.update(zip(distinct, map(render, distinct)))
+    if kind is float and 0.0 in memo:
+        return [memo[v] if v else cell(v) for v in values]
+    return list(map(memo.__getitem__, values))
+
+
+def _rendered_rows(
+    records: list[dict[str, Any]],
+    columns: list[str],
+    cell: Callable[[Any], str],
+    float_text: Callable[[float], str],
+) -> Iterator[tuple[str, ...]]:
+    """Each record's ``cell`` texts, one tuple per record, in order.
+
+    Blocks of ``_BLOCK_ROWS`` rows are extracted and formatted column by
+    column (:func:`_format_column`), then zipped into rows (empty rows
+    when there are no columns).
+    """
+    memos: dict[str, dict[type, dict[Any, str]]] = {name: {} for name in columns}
+    for start in range(0, len(records), _BLOCK_ROWS):
+        block = records[start:start + _BLOCK_ROWS]
+        fields = [
+            _format_column(_values(block, name), cell, float_text, memos[name])
+            for name in columns
+        ]
+        yield from zip(*fields) if fields else [()] * len(block)
+
+
+def _joined_csv(records: list[dict[str, Any]], columns: list[str]) -> Optional[str]:
+    """The CSV text by plain joins, or ``None`` if ``csv.writer`` must quote.
+
+    ``csv.writer`` quotes a lone empty field and any field holding a
+    delimiter, quote or line break, so a table with fewer than two
+    columns takes its path, and so does one with such a field: joined
+    fields hold none iff the text has exactly one delimiter per field
+    boundary, one line break per line and no quote.
+    """
+    if len(columns) < 2:
+        return None
+    rows = _rendered_rows(records, columns, _csv_cell, str)
+    lines = [",".join(map(_csv_cell, columns)), *map(",".join, rows), ""]
+    text = "\r\n".join(lines)
+    breaks = len(lines) - 1
+    if (
+        text.count(",") != breaks * (len(columns) - 1)
+        or text.count("\r") != breaks
+        or text.count("\n") != breaks
+        or '"' in text
+    ):
+        return None
+    return text

@@ -49,7 +49,9 @@ class StudyOutcome:
     An *incremental* outcome (``cached=True``) records a study the
     summary skipped because its manifest entry was up to date: there is
     no table (the artifacts already exist on disk), the telemetry is
-    empty, and ``rows`` reports the prior run's row count.
+    empty, and ``rows`` reports the prior run's row count.  A
+    ``from_store`` outcome was served whole from the ``studies/`` store:
+    it has a table but empty telemetry.
     """
 
     name: str
@@ -59,6 +61,7 @@ class StudyOutcome:
     error: Optional[str] = None
     cached: bool = False
     cached_rows: int = 0
+    from_store: bool = False
 
     @property
     def ok(self) -> bool:
@@ -135,6 +138,7 @@ class StudySpec:
                     table=ResultTable(rows),
                     telemetry=telemetry,
                     elapsed_s=time.perf_counter() - start,
+                    from_store=True,
                 )
         table = None
         error = None

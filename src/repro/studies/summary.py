@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -77,6 +78,12 @@ from repro.viz.report import study_report
 
 #: Back-compat alias: the registry keyed by study name.
 STUDIES = REGISTRY
+
+#: Manifest telemetry keys the summary adds to a study's counters: 1 when
+#: the study was served whole from ``studies/``, and the wall time of
+#: writing its CSV and report (a ``*_wall_s`` key, so it stays a float).
+STUDY_HIT = "study_hit"
+WRITE_WALL_S = "write_wall_s"
 
 #: Exit codes (see module docstring).
 EXIT_OK = 0
@@ -293,6 +300,7 @@ def _run_selected(
             status = "cached (incremental: manifest up to date)"
         else:
             outcome = spec.run(runtime)
+            start = time.perf_counter()
             artifacts = _write_artifacts(outcome, spec, out)
             entry = ManifestEntry(
                 name=name,
@@ -302,7 +310,11 @@ def _run_selected(
                 elapsed_s=outcome.elapsed_s,
                 error=outcome.error or "",
                 artifacts=artifacts,
-                telemetry=outcome.telemetry.counters(),
+                telemetry={
+                    **outcome.telemetry.counters(),
+                    STUDY_HIT: int(outcome.from_store),
+                    WRITE_WALL_S: round(time.perf_counter() - start, 6),
+                },
             )
             if outcome.ok and outcome.poisoned:
                 status = f"ok ({outcome.poisoned} poisoned)"
@@ -311,7 +323,8 @@ def _run_selected(
         run.outcomes.append(outcome)
         entries.append(entry)
         print(f"{name:26s} {outcome.rows:5d} rows  "
-              f"{outcome.elapsed_s:6.2f}s  {status}")
+              f"{outcome.elapsed_s:6.2f}s  "
+              f"write {entry.telemetry.get(WRITE_WALL_S, 0.0):5.2f}s  {status}")
 
 
 def merge_shards(
@@ -346,17 +359,24 @@ def _table_status(entry: ManifestEntry) -> str:
 
 
 def _status_table(entries: Sequence[ManifestEntry]) -> str:
-    """The per-study pass/fail table, rendered from manifest entries."""
+    """The per-study pass/fail table, rendered from manifest entries.
+
+    ``time_s`` is the study's own run (or its ``studies/`` load on a
+    hit) and ``write_s`` the CSV and report rendering after it.
+    """
     lines = [
-        "| study | status | rows | time_s | chars fresh/cached | evals fresh |",
-        "|---|---|---|---|---|---|",
+        "| study | status | rows | time_s | write_s | studies/ "
+        "| chars fresh/cached | evals fresh |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for entry in entries:
-        t = SweepTelemetry.from_counters(entry.telemetry)
+        counters = entry.telemetry
+        t = SweepTelemetry.from_counters(counters)
+        hit = "hit" if counters.get(STUDY_HIT) else "-"
         lines.append(
             f"| {entry.name} | {_table_status(entry)} | {entry.rows} "
-            f"| {entry.elapsed_s:.2f} | {t.completed}/{t.cached} "
-            f"| {t.evaluated} |"
+            f"| {entry.elapsed_s:.2f} | {counters.get(WRITE_WALL_S, 0.0):.2f} "
+            f"| {hit} | {t.completed}/{t.cached} | {t.evaluated} |"
         )
     return "\n".join(lines)
 

@@ -32,6 +32,15 @@ def _transform(value: float, log: bool) -> float:
     return math.log10(value)
 
 
+def _axis(values: list[float], log: bool) -> list[float]:
+    """``_transform`` of each value, raising where it would."""
+    if not log:
+        return values
+    if any(value <= 0 for value in values):
+        raise ReproError("log-scale axes need positive values")
+    return list(map(math.log10, values))
+
+
 def scatter(
     series: Mapping[str, Sequence[tuple[float, float]]],
     width: int = 70,
@@ -48,29 +57,26 @@ def scatter(
     marker, listed in the legend.
     """
     points = [
-        (label, x, y)
-        for label, pts in series.items()
+        (_MARKERS[index % len(_MARKERS)], x, y)
+        for index, pts in enumerate(series.values())
         for x, y in pts
     ]
     if not points:
         return "(no data)"
-    xs = [_transform(x, log_x) for _, x, _ in points]
-    ys = [_transform(y, log_y) for _, _, y in points]
+    xs = _axis([x for _, x, _ in points], log_x)
+    ys = _axis([y for _, _, y in points], log_y)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
     grid = [[" "] * width for _ in range(height)]
-    for index, (label, x, y) in enumerate(points):
-        marker = _MARKERS[list(series).index(label) % len(_MARKERS)]
-        cx = int((_transform(x, log_x) - x_lo) / x_span * (width - 1))
-        cy = int((_transform(y, log_y) - y_lo) / y_span * (height - 1))
-        row = height - 1 - cy
-        if grid[row][cx] not in (" ", marker):
-            grid[row][cx] = "?"  # collision between different series
-        else:
-            grid[row][cx] = marker
+    cxs = [int((tx - x_lo) / x_span * (width - 1)) for tx in xs]
+    cys = [int((ty - y_lo) / y_span * (height - 1)) for ty in ys]
+    for (marker, _, _), cx, cy in zip(points, cxs, cys):
+        row = grid[height - 1 - cy]
+        # "?" marks a collision between different series.
+        row[cx] = marker if row[cx] in (" ", marker) else "?"
 
     lines = []
     if title:

@@ -9,7 +9,7 @@ exposes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.results.table import ResultTable
 from repro.viz.ascii import bar_chart, scatter
@@ -45,73 +45,93 @@ def filter_by_constraints(
     return table.filter(keep)
 
 
-def _series(table: ResultTable, x: str, y: str, by: str) -> dict:
-    """Collect (x, y) series grouped by a column.
+#: The standard views: name -> (x column, y column, x label, y label, title).
+_VIEWS = {
+    "power": (
+        "reads_per_s", "total_power_mw", "reads/s", "power [mW]",
+        "Total memory power vs read traffic",
+    ),
+    "latency": (
+        "writes_per_s", "memory_latency_s_per_s", "writes/s", "latency [s/s]",
+        "Total memory latency vs write traffic",
+    ),
+    "lifetime": (
+        "writes_per_s", "lifetime_years", "writes/s", "lifetime [y]",
+        "Projected memory lifetime vs write traffic",
+    ),
+    "array": (
+        "read_latency_ns", "read_energy_pj", "read latency [ns]",
+        "read energy [pJ]", "Array read characteristics",
+    ),
+}
 
-    Non-positive values are dropped: every dashboard view draws on log
-    axes, and zero-rate points (e.g. a read-only workload's write rate)
-    simply have nothing to show there.
+
+def _drawable(values: list) -> list:
+    """Each value that a log axis can show, else ``None``.
+
+    Every dashboard view draws on log axes, so non-numeric and
+    non-positive values are dropped: zero-rate points (e.g. a read-only
+    workload's write rate) simply have nothing to show there.
     """
-    series: dict[str, list[tuple[float, float]]] = {}
-    for row in table:
-        xv, yv = row.get(x), row.get(y)
-        if xv is None or yv is None:
+    return [
+        v if isinstance(v, (int, float)) and not v <= 0 else None
+        for v in values
+    ]
+
+
+def render_views(
+    table: ResultTable, names: Iterable[str], by: str = "cell"
+) -> dict[str, str]:
+    """Render the named standard views, extracting each column once.
+
+    Returns ``{name: chart}`` for every name in ``names`` that is a
+    standard view; a view with no drawable point renders ``(no data)``.
+    Each view's series are grouped by ``str`` of the ``by`` column.
+    """
+    columns: dict[str, list] = {}
+
+    def drawable(name: str) -> list:
+        if name not in columns:
+            columns[name] = _drawable(table.column(name))
+        return columns[name]
+
+    labels: Optional[list[str]] = None
+    charts = {}
+    for name in dict.fromkeys(names):
+        if name not in _VIEWS:
             continue
-        if not (isinstance(xv, (int, float)) and isinstance(yv, (int, float))):
-            continue
-        if xv <= 0 or yv <= 0:
-            continue
-        series.setdefault(str(row.get(by, "all")), []).append((xv, yv))
-    return {label: pts for label, pts in series.items() if pts}
+        x, y, x_label, y_label, title = _VIEWS[name]
+        if labels is None:
+            labels = list(map(str, table.column(by, "all")))
+        series: dict[str, list[tuple[float, float]]] = {}
+        for label, xv, yv in zip(labels, drawable(x), drawable(y)):
+            if xv is not None and yv is not None:
+                series.setdefault(label, []).append((xv, yv))
+        charts[name] = scatter(
+            series, x_label=x_label, y_label=y_label,
+            log_x=True, log_y=True, title=title,
+        )
+    return charts
 
 
 def power_view(table: ResultTable, by: str = "cell") -> str:
     """Total memory power vs. read access rate (Figure 8/9 left)."""
-    return scatter(
-        _series(table, "reads_per_s", "total_power_mw", by),
-        x_label="reads/s",
-        y_label="power [mW]",
-        log_x=True,
-        log_y=True,
-        title="Total memory power vs read traffic",
-    )
+    return render_views(table, ["power"], by)["power"]
 
 
 def latency_view(table: ResultTable, by: str = "cell") -> str:
     """Aggregate memory latency vs. write access rate (Figure 8/9 middle)."""
-    return scatter(
-        _series(table, "writes_per_s", "memory_latency_s_per_s", by),
-        x_label="writes/s",
-        y_label="latency [s/s]",
-        log_x=True,
-        log_y=True,
-        title="Total memory latency vs write traffic",
-    )
+    return render_views(table, ["latency"], by)["latency"]
 
 
 def lifetime_view(table: ResultTable, by: str = "cell") -> str:
     """Projected lifetime vs. write access rate (Figure 8/9 right)."""
-    rows = table.filter(lambda r: r.get("lifetime_years") is not None)
-    return scatter(
-        _series(rows, "writes_per_s", "lifetime_years", by),
-        x_label="writes/s",
-        y_label="lifetime [y]",
-        log_x=True,
-        log_y=True,
-        title="Projected memory lifetime vs write traffic",
-    )
+    return render_views(table, ["lifetime"], by)["lifetime"]
 
 
 def array_view(table: ResultTable, by: str = "cell") -> str:
     """Read energy vs. read latency for arrays (Figure 3/5/10 style)."""
-    return scatter(
-        _series(table, "read_latency_ns", "read_energy_pj", by),
-        x_label="read latency [ns]",
-        y_label="read energy [pJ]",
-        log_x=True,
-        log_y=True,
-        title="Array read characteristics",
-    )
+    return render_views(table, ["array"], by)["array"]
 
 
 def density_view(table: ResultTable) -> str:
@@ -127,6 +147,5 @@ def density_view(table: ResultTable) -> str:
 
 def summary_dashboard(table: ResultTable) -> str:
     """All standard views stacked, like the web dashboard's landing page."""
-    views = [power_view(table), latency_view(table), lifetime_view(table),
-             array_view(table), density_view(table)]
+    views = [*render_views(table, _VIEWS).values(), density_view(table)]
     return "\n\n".join(views)

@@ -11,16 +11,47 @@ from typing import Optional, Sequence
 
 from repro.results.table import ResultTable
 from repro.viz.ascii import bar_chart
-from repro.viz.dashboard import (
-    array_view,
-    latency_view,
-    lifetime_view,
-    power_view,
-)
+from repro.viz.dashboard import render_views
 
 
 def _fence(text: str) -> str:
     return "```\n" + text + "\n```"
+
+
+def _winners(
+    table: ResultTable, winner_column: str, group_column: str
+) -> Optional[list[str]]:
+    """The winners-per-group table, or ``None`` if no row has ``group_column``.
+
+    One pass finds, per value of ``group_column``, the first row with
+    the least non-``None`` ``winner_column``.  Groups are the distinct
+    values of the rows holding the column, in first-seen order; a row
+    lacking it falls in the ``None`` group, and a group unequal to
+    itself (NaN) matches no row.
+    """
+    groups: dict = {}
+    best: dict = {}
+    for row in table:
+        if group_column in row:
+            groups.setdefault(row[group_column], None)
+        value = row.get(winner_column)
+        if value is None:
+            continue
+        key = row.get(group_column)
+        current = best.get(key)
+        if current is None or value < current[winner_column]:
+            best[key] = row
+    if not groups:
+        return None
+    winners = {}
+    for group in groups:
+        row = best.get(group) if group == group else None
+        if row is not None:
+            winners[str(group)] = (
+                f"{row.get('cell', '?')} ({row[winner_column]:.4g})"
+            )
+    lines = [f"| {group_column} | winner ({winner_column}) |", "|---|---|"]
+    return lines + [f"| {g} | {w} |" for g, w in winners.items()]
 
 
 def study_report(
@@ -36,7 +67,10 @@ def study_report(
 
     Includes the standard dashboard views, a winners-per-group table when
     ``winner_column`` is set, and the full data as a markdown table.
-    ``figure`` tags the paper figure the study reproduces.
+    ``figure`` tags the paper figure the study reproduces.  The views
+    share one extraction of their columns, the winners come from one
+    pass over the rows, and the data table is rendered column-wise
+    (:meth:`~repro.results.table.ResultTable.to_markdown`).
     """
     sections: list[str] = [f"# {title}", ""]
     if figure:
@@ -45,36 +79,16 @@ def study_report(
         sections += [description, ""]
     sections.append(f"*{len(table)} evaluation rows.*\n")
 
-    view_builders = {
-        "power": power_view,
-        "latency": latency_view,
-        "lifetime": lifetime_view,
-        "array": array_view,
-    }
+    charts = render_views(table, include_views)
     for name in include_views:
-        builder = view_builders.get(name)
-        if builder is None:
-            continue
-        rendered = builder(table)
-        if "(no data)" in rendered:
+        rendered = charts.get(name)
+        if rendered is None or "(no data)" in rendered:
             continue
         sections += [f"## {name.title()} view", "", _fence(rendered), ""]
 
-    if winner_column and group_column in table.columns:
-        sections += ["## Winners", ""]
-        winners = {}
-        for group in table.unique(group_column):
-            rows = table.where(**{group_column: group}).filter(
-                lambda r: r.get(winner_column) is not None
-            )
-            if rows:
-                best = rows.min_by(winner_column)
-                winners[str(group)] = (
-                    f"{best.get('cell', '?')} ({best[winner_column]:.4g})"
-                )
-        lines = [f"| {group_column} | winner ({winner_column}) |", "|---|---|"]
-        lines += [f"| {g} | {w} |" for g, w in winners.items()]
-        sections += lines + [""]
+    winners = _winners(table, winner_column, group_column) if winner_column else None
+    if winners is not None:
+        sections += ["## Winners", "", *winners, ""]
 
     sections += ["## Data", "", table.to_markdown(), ""]
     return "\n".join(sections)

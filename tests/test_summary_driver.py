@@ -12,6 +12,7 @@ import pytest
 from repro.errors import CharacterizationError
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.shard import RunManifest, plan_shard
+from repro.runtime.telemetry import SweepTelemetry
 from repro.studies.pipeline import REGISTRY, StudySpec
 from repro.studies.summary import (
     EXIT_ALL_INCREMENTAL,
@@ -174,6 +175,34 @@ def test_main_expect_warm(tmp_path, capsys):
     args[0] = str(tmp_path / "o2")
     assert main(args + ["--expect-warm"]) == 0
     assert "warm run confirmed" in capsys.readouterr().out
+
+
+def test_manifest_and_table_mark_store_hits_and_write_time(tmp_path, capsys):
+    """Each entry records whether ``studies/`` served it and how long its
+    CSV and report took to write; the table shows both, the printed line
+    the write time."""
+    cache = str(tmp_path / "cache")
+    only = ["fig05_dnn_arrays", "ext_hierarchy"]
+    for out, hit in (("cold", 0), ("warm", 1)):
+        args = [str(tmp_path / out), "--only", ",".join(only), "--cache-dir", cache]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        manifest = RunManifest.load(tmp_path / out)  # the JSON round trip
+        for entry in manifest.entries:
+            counters = entry.telemetry
+            assert entry.status == "ok"  # a hit is still a fresh, ok run
+            assert counters["study_hit"] == hit
+            assert isinstance(counters["write_wall_s"], float)
+            assert counters["write_wall_s"] > 0
+            line = next(x for x in printed.splitlines() if x.startswith(entry.name))
+            assert f"write {counters['write_wall_s']:5.2f}s" in line
+            assert line.endswith("ok")
+            row = next(x for x in printed.splitlines()
+                       if x.startswith(f"| {entry.name} |"))
+            assert row.split(" | ")[5] == ("hit" if hit else "-")
+        fresh = sum(SweepTelemetry.from_counters(e.telemetry).fresh_work
+                    for e in manifest.entries)
+        assert (fresh == 0) == bool(hit)
 
 
 # --- incremental summary --------------------------------------------------
